@@ -4,7 +4,12 @@
 //! simulation's fidelity-per-second.
 
 use bytes::Bytes;
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::sync::Arc;
+
+use criterion::{
+    black_box, criterion_group, criterion_main, BatchSize, Bencher, BenchmarkId, Criterion, Throughput,
+};
+use sereth_chain::state::StateDb;
 use sereth_chain::txpool::TxPool;
 use sereth_core::fpv::{Flag, Fpv};
 use sereth_core::mark::genesis_mark;
@@ -99,23 +104,56 @@ fn bench_txpool(c: &mut Criterion) {
     group.finish();
 }
 
+/// A rooted state of `accounts` funded accounts, each with one storage
+/// slot.
+fn rooted_state(accounts: usize) -> StateDb {
+    let mut builder = sereth_chain::genesis::GenesisBuilder::new();
+    for i in 0..accounts {
+        let addr = Address::from_low_u64(i as u64);
+        builder = builder.fund(addr, U256::from(i as u64)).contract_with_storage(
+            addr,
+            sereth_vm::exec::ContractCode::None,
+            [(H256::from_low_u64(1), H256::from_low_u64(i as u64))],
+        );
+    }
+    builder.build().state
+}
+
+/// Times `state_root` on a fresh state from `make` per sample. Making the
+/// state and dropping it stay out of the timing (the last one is held
+/// until the next is made).
+fn time_root_of(b: &mut Bencher, mut make: impl FnMut() -> StateDb) {
+    let mut held = None;
+    b.iter_batched(
+        || {
+            let state = Arc::new(make());
+            held = Some(Arc::clone(&state));
+            state
+        },
+        |state| state.state_root(),
+        BatchSize::PerIteration,
+    );
+}
+
+/// The state root from scratch (a deep clone carries no cached tree), and
+/// the incremental root of a child that changed 512 of 10^5 accounts, the
+/// size of a block of 256 transfers.
 fn bench_state_root(c: &mut Criterion) {
     let mut group = c.benchmark_group("state_root");
-    for &accounts in &[16usize, 128, 1_024] {
-        let mut builder = sereth_chain::genesis::GenesisBuilder::new();
-        for i in 0..accounts {
-            let addr = Address::from_low_u64(i as u64);
-            builder = builder.fund(addr, U256::from(i as u64)).contract_with_storage(
-                addr,
-                sereth_vm::exec::ContractCode::None,
-                [(H256::from_low_u64(1), H256::from_low_u64(i as u64))],
-            );
-        }
-        let state = builder.build().state;
-        group.bench_with_input(BenchmarkId::from_parameter(accounts), &state, |b, state| {
-            b.iter(|| black_box(state).state_root())
-        });
+    for &accounts in &[16usize, 128, 1_024, 100_000] {
+        let state = rooted_state(accounts);
+        group.bench_function(BenchmarkId::new("full", accounts), |b| time_root_of(b, || state.deep_clone()));
     }
+    let parent = rooted_state(100_000);
+    group.bench_function(BenchmarkId::new("changed_512_of", 100_000), |b| {
+        time_root_of(b, || {
+            let mut child = parent.clone();
+            for i in 0..512u64 {
+                child.credit(&Address::from_low_u64(i * 193 % 100_000), U256::from(1u64));
+            }
+            child
+        })
+    });
     group.finish();
 }
 

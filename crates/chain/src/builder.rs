@@ -155,7 +155,8 @@ pub fn build_block_pipelined(
 }
 
 /// The shared seal tail: computes the commitment roots over the executed
-/// outcome and assembles the header, timed as [`Phase::Seal`].
+/// outcome and assembles the header, timed as [`Phase::Seal`] (the state
+/// root inside it also as [`Phase::StateRoot`]).
 fn seal(
     parent: &BlockHeader,
     mut state: StateDb,
@@ -173,7 +174,7 @@ fn seal(
             number: parent.number + 1,
             timestamp_ms,
             miner,
-            state_root: state.state_root(),
+            state_root: telemetry.time(Phase::StateRoot, || state.state_root()),
             tx_root: Block::compute_tx_root(&included),
             receipts_root: Block::compute_receipts_root(&receipts),
             gas_used,

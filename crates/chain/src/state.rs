@@ -7,9 +7,10 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
-use sereth_crypto::merkle::merkle_root;
+use sereth_crypto::merkle::{merkle_root, parent_node};
 use sereth_crypto::rlp::RlpStream;
 use sereth_store::EpochGuard;
 use sereth_types::u256::U256;
@@ -80,9 +81,198 @@ pub struct Snapshot(usize);
 /// share, one account on the first write to it).
 type Accounts = BTreeMap<Address, Arc<Account>>;
 
-fn accounts_root(accounts: &Accounts) -> H256 {
-    let leaves: Vec<H256> = accounts.iter().map(|(address, account)| account.account_hash(address)).collect();
-    merkle_root(&leaves)
+/// One account whose `Arc` differs between two maps, as yielded by
+/// [`changed_accounts`]. `None` on a side: the address is absent there.
+struct Changed<'a> {
+    address: &'a Address,
+    /// Index of `address` in the `after` map (for an address only in
+    /// `before`: the index the next `after` entry has).
+    position: usize,
+    before: Option<&'a Arc<Account>>,
+    after: Option<&'a Arc<Account>>,
+}
+
+/// Walks two account maps in lockstep, in address order, and yields every
+/// address whose account is not the same `Arc` on both sides. Shared
+/// `Arc`s are skipped without looking inside: an account reachable from
+/// two maps is immutable (every write goes through `Arc::make_mut`). The
+/// walk is O(accounts) pointer steps; only changed accounts cost more.
+fn changed_accounts<'a>(before: &'a Accounts, after: &'a Accounts) -> impl Iterator<Item = Changed<'a>> {
+    let (mut left, mut right) = (before.iter().peekable(), after.iter().peekable());
+    let mut position = 0;
+    std::iter::from_fn(move || loop {
+        let order = match (left.peek(), right.peek()) {
+            (Some((l, _)), Some((r, _))) => l.cmp(r),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        let at = position;
+        let (address, before, after) = match order {
+            Ordering::Less => {
+                let (address, account) = left.next()?;
+                (address, Some(account), None)
+            }
+            Ordering::Greater => {
+                let (address, account) = right.next()?;
+                position += 1;
+                (address, None, Some(account))
+            }
+            Ordering::Equal => {
+                let ((address, l), (_, r)) = (left.next()?, right.next()?);
+                position += 1;
+                if Arc::ptr_eq(l, r) {
+                    continue;
+                }
+                (address, Some(l), Some(r))
+            }
+        };
+        return Some(Changed { address, position: at, before, after });
+    })
+}
+
+/// Tree levels below this one are not cached: a level-`CACHED_LEVEL` node
+/// is re-derived from its [`CHUNK`] accounts whenever one of them changes.
+/// Two levels trade 4 account hashes per changed account for a cache of
+/// about half a hash per account.
+const CACHED_LEVEL: u32 = 2;
+
+/// Accounts under one lowest cached node.
+const CHUNK: usize = 1 << CACHED_LEVEL;
+
+/// The Merkle root over the hashes of up to [`CHUNK`] consecutive
+/// accounts: one node of the lowest cached level.
+fn chunk_node<'a>(accounts: impl Iterator<Item = (&'a Address, &'a Arc<Account>)>) -> H256 {
+    let mut level = [H256::ZERO; CHUNK];
+    let mut len = 0;
+    for (address, account) in accounts {
+        level[len] = account.account_hash(address);
+        len += 1;
+    }
+    merkle_root(&level[..len])
+}
+
+/// The positional account tree of one account map, from
+/// [`CACHED_LEVEL`] up to the root. The tree is exactly the one
+/// `merkle_root` builds over every account hash in address order, so a
+/// cached root is byte-identical to a from-scratch one.
+///
+/// `accounts` is held strongly, which is what makes the cache COW-safe:
+/// every account `Arc` it shares with a live map has a second owner and
+/// is therefore never written in place, so pointer equality between the
+/// two maps proves an account unchanged.
+#[derive(Debug)]
+struct RootCache {
+    accounts: Arc<Accounts>,
+    /// `levels[0]` has one node per [`CHUNK`] accounts, each next level
+    /// half as many, the last only the root. Empty for an empty map.
+    levels: Vec<Vec<H256>>,
+}
+
+impl RootCache {
+    /// The tree of `accounts` from scratch: O(accounts) hashes.
+    fn build(accounts: &Arc<Accounts>) -> Self {
+        let mut entries = accounts.iter();
+        let mut nodes = Vec::with_capacity(accounts.len().div_ceil(CHUNK));
+        while entries.len() > 0 {
+            nodes.push(chunk_node(entries.by_ref().take(CHUNK)));
+        }
+        let mut levels = Vec::new();
+        if !nodes.is_empty() {
+            levels.push(nodes);
+        }
+        while let Some(top) = levels.last().filter(|top| top.len() > 1) {
+            let above = top.chunks(2).map(parent_node).collect();
+            levels.push(above);
+        }
+        Self { accounts: Arc::clone(accounts), levels }
+    }
+
+    fn root(&self) -> H256 {
+        self.levels.last().map_or_else(sereth_crypto::merkle::empty_root, |top| top[0])
+    }
+
+    /// The tree of `accounts`, a later version of this cache's map. When
+    /// no account was inserted or deleted, positions are unchanged and
+    /// only the chunks holding a changed account and their paths to the
+    /// root are rehashed; otherwise the tree is rebuilt.
+    fn advance(&self, accounts: &Arc<Accounts>) -> Self {
+        // (chunk, one changed address in it, that address's offset in it)
+        let mut dirty: Vec<(usize, &Address, usize)> = Vec::new();
+        for change in changed_accounts(&self.accounts, accounts) {
+            if change.before.is_none() || change.after.is_none() {
+                return Self::build(accounts);
+            }
+            let chunk = change.position / CHUNK;
+            if dirty.last().is_none_or(|&(last, ..)| last != chunk) {
+                dirty.push((chunk, change.address, change.position % CHUNK));
+            }
+        }
+        let mut levels = self.levels.clone();
+        for &(chunk, address, offset) in &dirty {
+            let mut members: Vec<(&Address, &Arc<Account>)> =
+                accounts.range(..*address).rev().take(offset).collect();
+            members.reverse();
+            members.extend(accounts.range(*address..).take(CHUNK - offset));
+            levels[0][chunk] = chunk_node(members.into_iter());
+        }
+        let mut touched: Vec<usize> = dirty.iter().map(|&(chunk, ..)| chunk).collect();
+        for level in 1..levels.len() {
+            touched.iter_mut().for_each(|index| *index /= 2);
+            touched.dedup();
+            let (below, above) = levels.split_at_mut(level);
+            let below = &below[level - 1];
+            for &index in &touched {
+                above[0][index] = parent_node(&below[2 * index..(2 * index + 2).min(below.len())]);
+            }
+        }
+        Self { accounts: Arc::clone(accounts), levels }
+    }
+}
+
+/// The state-root memo a [`StateDb`] or [`StateView`] carries: the
+/// [`RootCache`] of the last map it was rooted at, which after a clone
+/// and some writes is an ancestor of the current map. Cloning shares the
+/// cache; a root call replaces it with the cache of the current map.
+#[derive(Default)]
+struct RootMemo(Mutex<Option<Arc<RootCache>>>);
+
+impl RootMemo {
+    /// The root of `accounts`, leaving the memo at `accounts`' tree.
+    fn root_of(&self, accounts: &Arc<Accounts>) -> H256 {
+        let mut memo = self.0.lock();
+        let next = match memo.as_deref() {
+            Some(cache) if Arc::ptr_eq(&cache.accounts, accounts) => return cache.root(),
+            Some(cache) => cache.advance(accounts),
+            None => RootCache::build(accounts),
+        };
+        let root = next.root();
+        *memo = Some(Arc::new(next));
+        root
+    }
+
+    /// A memo sharing this one's cache if it is the tree of `accounts`
+    /// itself, empty otherwise: a view never keeps an older map alive.
+    fn fresh_for(&self, accounts: &Arc<Accounts>) -> Self {
+        let memo = self.0.lock();
+        Self(Mutex::new(memo.clone().filter(|cache| Arc::ptr_eq(&cache.accounts, accounts))))
+    }
+
+    fn clear(&self) {
+        *self.0.lock() = None;
+    }
+}
+
+impl Clone for RootMemo {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.0.lock().clone()))
+    }
+}
+
+impl std::fmt::Debug for RootMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("RootMemo").field(&self.0.lock().as_ref().map(|cache| cache.root())).finish()
+    }
 }
 
 /// The journaled world state.
@@ -100,6 +290,7 @@ fn accounts_root(accounts: &Accounts) -> H256 {
 pub struct StateDb {
     accounts: Arc<Accounts>,
     journal: Vec<JournalEntry>,
+    root: RootMemo,
 }
 
 /// An immutable, cheaply shareable snapshot of a [`StateDb`].
@@ -118,6 +309,7 @@ pub struct StateDb {
 pub struct StateView {
     accounts: Arc<Accounts>,
     pin: Option<EpochGuard>,
+    root: RootMemo,
 }
 
 impl StateView {
@@ -171,7 +363,7 @@ impl StateView {
     /// Deterministic commitment to the viewed state (same function as
     /// [`StateDb::state_root`]).
     pub fn state_root(&self) -> H256 {
-        accounts_root(&self.accounts)
+        self.root.root_of(&self.accounts)
     }
 
     /// Iterates accounts in address order.
@@ -214,41 +406,12 @@ impl StateView {
                 }
             }
         }
-        let mut dirty = HashSet::new();
         let absent = Account::default();
-        let mut left_iter = self.accounts.iter();
-        let mut right_iter = other.accounts.iter();
-        let mut left = left_iter.next();
-        let mut right = right_iter.next();
-        loop {
-            match (left, right) {
-                (Some((la, lacc)), Some((ra, racc))) => match la.cmp(ra) {
-                    Ordering::Equal => {
-                        if !Arc::ptr_eq(lacc, racc) {
-                            diff_account(&mut dirty, *la, lacc, racc);
-                        }
-                        left = left_iter.next();
-                        right = right_iter.next();
-                    }
-                    Ordering::Less => {
-                        diff_account(&mut dirty, *la, lacc, &absent);
-                        left = left_iter.next();
-                    }
-                    Ordering::Greater => {
-                        diff_account(&mut dirty, *ra, &absent, racc);
-                        right = right_iter.next();
-                    }
-                },
-                (Some((la, lacc)), None) => {
-                    diff_account(&mut dirty, *la, lacc, &absent);
-                    left = left_iter.next();
-                }
-                (None, Some((ra, racc))) => {
-                    diff_account(&mut dirty, *ra, &absent, racc);
-                    right = right_iter.next();
-                }
-                (None, None) => break,
-            }
+        let mut dirty = HashSet::new();
+        for change in changed_accounts(&self.accounts, &other.accounts) {
+            let before = change.before.map_or(&absent, |account| account);
+            let after = change.after.map_or(&absent, |account| account);
+            diff_account(&mut dirty, *change.address, before, after);
         }
         dirty
     }
@@ -263,42 +426,12 @@ impl StateView {
     /// still shared are skipped without comparison, so the diff costs only
     /// the accounts a block actually touched.
     pub fn diff_accounts(&self, other: &StateView) -> Vec<(Address, Option<Account>)> {
-        let mut writes = Vec::new();
-        let mut left_iter = self.accounts.iter();
-        let mut right_iter = other.accounts.iter();
-        let mut left = left_iter.next();
-        let mut right = right_iter.next();
-        loop {
-            match (left, right) {
-                (Some((la, lacc)), Some((ra, racc))) => match la.cmp(ra) {
-                    Ordering::Equal => {
-                        if !Arc::ptr_eq(lacc, racc) && lacc != racc {
-                            writes.push((*la, Some(Account::clone(racc))));
-                        }
-                        left = left_iter.next();
-                        right = right_iter.next();
-                    }
-                    Ordering::Less => {
-                        writes.push((*la, None));
-                        left = left_iter.next();
-                    }
-                    Ordering::Greater => {
-                        writes.push((*ra, Some(Account::clone(racc))));
-                        right = right_iter.next();
-                    }
-                },
-                (Some((la, _)), None) => {
-                    writes.push((*la, None));
-                    left = left_iter.next();
-                }
-                (None, Some((ra, racc))) => {
-                    writes.push((*ra, Some(Account::clone(racc))));
-                    right = right_iter.next();
-                }
-                (None, None) => break,
-            }
-        }
-        writes
+        changed_accounts(&self.accounts, &other.accounts)
+            .filter_map(|change| match (change.before, change.after) {
+                (Some(before), Some(after)) if before == after => None,
+                (_, after) => Some((*change.address, after.map(|account| Account::clone(account)))),
+            })
+            .collect()
     }
 }
 
@@ -325,7 +458,11 @@ impl StateDb {
     /// Takes an immutable O(1) snapshot of the current accounts. The view
     /// is unaffected by any later mutation of `self` (writes unshare).
     pub fn view(&self) -> StateView {
-        StateView { accounts: Arc::clone(&self.accounts), pin: None }
+        StateView {
+            accounts: Arc::clone(&self.accounts),
+            pin: None,
+            root: self.root.fresh_for(&self.accounts),
+        }
     }
 
     /// A structurally independent copy: every account duplicated, nothing
@@ -338,7 +475,7 @@ impl StateDb {
             .iter()
             .map(|(address, account)| (*address, Arc::new(Account::clone(account))))
             .collect();
-        StateDb { accounts: Arc::new(accounts), journal: self.journal.clone() }
+        StateDb { accounts: Arc::new(accounts), journal: self.journal.clone(), root: RootMemo::default() }
     }
 
     /// Rebuilds a state wholesale from recovered account images — the
@@ -346,7 +483,7 @@ impl StateDb {
     pub(crate) fn from_accounts(accounts: impl IntoIterator<Item = (Address, Account)>) -> Self {
         let accounts: Accounts =
             accounts.into_iter().map(|(address, account)| (address, Arc::new(account))).collect();
-        Self { accounts: Arc::new(accounts), journal: Vec::new() }
+        Self { accounts: Arc::new(accounts), journal: Vec::new(), root: RootMemo::default() }
     }
 
     /// Installs (or, on `None`, deletes) an account post-image without
@@ -519,9 +656,25 @@ impl StateDb {
     }
 
     /// Deterministic commitment to the entire state: a Merkle root over the
-    /// sorted account hashes (see `DESIGN.md` §7 for the trie substitution).
+    /// sorted account hashes (see `DESIGN.md` §7 for the trie substitution
+    /// and the cache). Incremental: a state cloned from one whose root was
+    /// taken rehashes only the paths of the accounts changed since.
     pub fn state_root(&self) -> H256 {
-        accounts_root(&self.accounts)
+        self.root.root_of(&self.accounts)
+    }
+
+    /// Drops the cached tree behind [`StateDb::state_root`]; the next call
+    /// (on this state or on a clone taken after this) rebuilds it. Stores
+    /// call this on states nothing will be built on any more, so only the
+    /// head keeps a tree.
+    pub(crate) fn drop_root_cache(&self) {
+        self.root.clear();
+    }
+
+    /// `true` while a cached tree backs [`StateDb::state_root`].
+    #[cfg(test)]
+    pub(crate) fn has_root_cache(&self) -> bool {
+        self.root.0.lock().is_some()
     }
 
     /// Iterates accounts in address order.
@@ -843,5 +996,64 @@ mod tests {
     fn plain_statedb_views_carry_no_pin() {
         let state = StateDb::new();
         assert_eq!(state.view().pinned_epoch(), None);
+    }
+
+    /// The cache of `state`'s last root.
+    fn cache_of(state: &StateDb) -> Arc<RootCache> {
+        state.root.0.lock().clone().expect("rooted")
+    }
+
+    #[test]
+    fn advanced_tree_equals_a_rebuilt_one_level_by_level() {
+        let mut state = StateDb::new();
+        for n in 0..37 {
+            state.credit(&addr(n), U256::from(n + 1));
+        }
+        state.clear_journal();
+        state.state_root();
+        let parent = cache_of(&state);
+
+        // Same shape: changed accounts in the first, a middle and the
+        // last (short) chunk, through the journaled and recovery paths.
+        let mut child = state.clone();
+        child.credit(&addr(0), U256::from(1u64));
+        child.storage_set(&addr(36), H256::from_low_u64(1), H256::from_low_u64(2));
+        child.replace_account(addr(20), Some(Account { nonce: 9, ..Account::default() }));
+        assert_eq!(parent.advance(&child.accounts).levels, RootCache::build(&child.accounts).levels);
+
+        // An insert and a delete move positions: rebuilt.
+        child.replace_account(addr(100), Some(Account::default()));
+        child.replace_account(addr(3), None);
+        assert_eq!(parent.advance(&child.accounts).levels, RootCache::build(&child.accounts).levels);
+        assert_eq!(child.state_root(), child.deep_clone().state_root());
+    }
+
+    #[test]
+    fn empty_and_tiny_states_root_like_the_plain_tree() {
+        let mut state = StateDb::new();
+        assert_eq!(state.state_root(), sereth_crypto::merkle::empty_root());
+        state.credit(&addr(1), U256::from(1u64));
+        assert_eq!(state.state_root(), state.account(&addr(1)).unwrap().account_hash(&addr(1)));
+        let snapshot = state.snapshot();
+        state.credit(&addr(2), U256::from(1u64));
+        state.revert_to(snapshot);
+        state.revert_to(Snapshot(0));
+        assert_eq!(state.state_root(), sereth_crypto::merkle::empty_root());
+    }
+
+    #[test]
+    fn views_share_only_a_tree_of_their_own_map() {
+        let mut state = StateDb::new();
+        state.credit(&addr(1), U256::from(1u64));
+        state.clear_journal();
+        let root = state.state_root();
+        let fresh = state.view();
+        assert!(Arc::ptr_eq(&cache_of(&state), &fresh.root.0.lock().clone().unwrap()));
+
+        state.credit(&addr(1), U256::from(1u64));
+        let stale = state.view();
+        assert!(stale.root.0.lock().is_none(), "a view never holds an older map's tree");
+        assert_ne!(stale.state_root(), root);
+        assert_eq!(fresh.state_root(), root);
     }
 }

@@ -474,10 +474,16 @@ impl ChainStore {
     /// strictly longer chains win; equal length keeps the incumbent
     /// (deterministic but incumbent-sticky, like observed miner
     /// behaviour). Shared by live imports and recovery replay.
+    ///
+    /// Only the head keeps the cached tree behind its state root (see
+    /// [`StateDb::state_root`]): a side-chain block and a superseded head
+    /// drop theirs, so a child of either roots from scratch.
     fn place_block(&mut self, hash: H256, number: u64) -> ImportOutcome {
         if number <= self.head_number() {
+            self.blocks[&hash].post_state.drop_root_cache();
             return ImportOutcome::SideChain;
         }
+        self.blocks[&self.head].post_state.drop_root_cache();
         let extends_head = number > 0
             && self.canonical.get(number as usize - 1) == Some(&self.blocks[&hash].block.header.parent_hash);
         if extends_head {
@@ -582,10 +588,11 @@ impl ChainStore {
     }
 
     /// Rebuilds chain state from what a durable directory held: restore
-    /// the newest snapshot, replay intact journal records through the same
-    /// fork choice as live imports, and verify the head commitment. A
-    /// fresh directory instead gets seeded with a genesis checkpoint so
-    /// the journal always has a base.
+    /// the newest snapshot and replay intact journal records through the
+    /// same fork choice as live imports, verifying every block's state
+    /// root on the way (so the head's is verified too). A fresh directory
+    /// instead gets seeded with a genesis checkpoint so the journal always
+    /// has a base.
     fn recover(&mut self, recovered: Recovered) -> Result<(), StoreError> {
         let genesis_hash = self.canonical[0];
         match recovered.snapshot {
@@ -603,13 +610,6 @@ impl ChainStore {
                 self.restore_snapshot(snapshot)?;
                 for record in recovered.blocks {
                     self.replay_record(record)?;
-                }
-                let head = &self.blocks[&self.head];
-                if head.post_state.state_root() != head.block.header.state_root {
-                    return Err(StoreError::corrupt(format!(
-                        "recovered head {} does not reproduce its state root",
-                        head.block.number()
-                    )));
                 }
             }
         }
@@ -648,10 +648,11 @@ impl ChainStore {
     }
 
     /// Replays one journal record during recovery: apply its write-set to
-    /// the parent's post-state and run fork choice. Records whose parent
-    /// is unknown (pruned below the snapshot base, or on a discarded side
-    /// chain) are skipped — fork choice could never select them over the
-    /// snapshot head.
+    /// the parent's post-state, check the result against the header's
+    /// state root (O(changed accounts) from the parent's cached tree), and
+    /// run fork choice. Records whose parent is unknown (pruned below the
+    /// snapshot base, or on a discarded side chain) are skipped — fork
+    /// choice could never select them over the snapshot head.
     fn replay_record(&mut self, record: BlockRecord) -> Result<(), StoreError> {
         let hash = record.block.hash();
         if self.blocks.contains_key(&hash) {
@@ -667,6 +668,11 @@ impl ChainStore {
             post_state.replace_account(address, account);
         }
         let number = record.block.number();
+        if post_state.state_root() != record.block.header.state_root {
+            return Err(StoreError::corrupt(format!(
+                "journaled block {number} does not reproduce its state root"
+            )));
+        }
         self.blocks.insert(hash, StoredBlock { block: record.block, receipts: record.receipts, post_state });
         self.place_block(hash, number);
         Ok(())
@@ -769,6 +775,28 @@ mod tests {
         assert_eq!(store.head_number(), 2);
         assert_eq!(store.canonical_chain().count(), 3);
         assert!(store.is_canonical(&b1.hash()));
+    }
+
+    #[test]
+    fn only_the_head_keeps_a_root_cache() {
+        let key = SecretKey::from_label(1);
+        let mut store = open_mem(genesis(&key));
+        let b1 = extend(&store, vec![transfer(&key, 0, 5)], 1, 15_000);
+        let side = extend(&store, vec![], 2, 15_000);
+        assert_eq!(store.import(b1).unwrap(), ImportOutcome::ExtendedCanonical);
+        assert_eq!(store.import(side.clone()).unwrap(), ImportOutcome::SideChain);
+        let b2 = extend(&store, vec![transfer(&key, 1, 5)], 1, 30_000);
+        assert_eq!(store.import(b2).unwrap(), ImportOutcome::ExtendedCanonical);
+
+        let cached: Vec<u64> = store
+            .blocks
+            .values()
+            .filter(|stored| stored.post_state.has_root_cache())
+            .map(|stored| stored.block.number())
+            .collect();
+        assert_eq!(cached, vec![2]);
+        // A block without a cache still roots exactly, from scratch.
+        assert_eq!(store.get(&side.hash()).unwrap().post_state.state_root(), side.header.state_root);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! [`BadTransaction`]: ValidationError::BadTransaction
 
-use sereth_telemetry::Telemetry;
+use sereth_telemetry::{Phase, Telemetry};
 use sereth_types::block::{Block, BlockHeader};
 use sereth_types::receipt::Receipt;
 
@@ -228,9 +228,10 @@ pub fn validate_block_accounted(
 }
 
 /// [`validate_block_accounted`] recording into `telemetry`: a parallel
-/// replay's speculate/merge stages land in their phase histograms (the
-/// overall validate span is the *caller's* to record — the store times
-/// its whole import-side validation as one `validate` phase sample).
+/// replay's speculate/merge stages and the state root land in their phase
+/// histograms (the overall validate span is the *caller's* to record —
+/// the store times its whole import-side validation as one `validate`
+/// phase sample).
 /// Pass [`Telemetry::off()`] to replay untimed.
 ///
 /// # Errors
@@ -315,7 +316,7 @@ pub fn validate_block_traced(
         return Err(ValidationError::ReceiptsRootMismatch);
     }
     state.clear_journal();
-    if state.state_root() != block.header.state_root {
+    if telemetry.time(Phase::StateRoot, || state.state_root()) != block.header.state_root {
         return Err(ValidationError::StateRootMismatch);
     }
     Ok(Validated { receipts, post_state: state, stats })

@@ -12,7 +12,9 @@
 //! A second property drives the fault-injecting [`FaultWriter`] directly
 //! over the record framing, and a third pins an epoch across several
 //! snapshot+GC cycles to prove held views stay byte-frozen while
-//! everything around them is compacted away.
+//! everything around them is compacted away. A fourth forges one
+//! journaled account image under a valid checksum and requires recovery
+//! to refuse it at that block's height.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -25,7 +27,7 @@ use sereth_chain::DurableOptions;
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
-use sereth_store::{encode_record, scratch_dir, FaultWriter, RecordScanner};
+use sereth_store::{encode_record, scratch_dir, BlockRecord, FaultWriter, RecordScanner, StoreError};
 use sereth_types::transaction::{Transaction, TxPayload};
 use sereth_types::u256::U256;
 
@@ -179,6 +181,47 @@ fn recovered_store_keeps_importing_after_mid_record_tears() {
 
     fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&crash_dir).unwrap();
+}
+
+/// Corruption past the crash model: a journal record whose account image
+/// was altered but whose checksum is valid decodes fine, so only the
+/// per-block state-root check during replay can catch it — and it must,
+/// naming the forged block's height.
+#[test]
+fn forged_account_image_fails_recovery_at_its_height() {
+    const BLOCKS: u64 = 3;
+    const FORGED: u64 = 2;
+    let key = SecretKey::from_label(1);
+    let dir = scratch_dir("recovery-forged");
+    let mut store = ChainStore::open(StoreConfig::durable(genesis(&key), &dir)).unwrap();
+    for nonce in 0..BLOCKS {
+        let block = extend(&store, vec![transfer(&key, nonce)], (nonce + 1) * 15_000);
+        store.import(block).unwrap();
+    }
+    drop(store);
+
+    let journal = journal_segment(&dir);
+    let bytes = fs::read(&journal).unwrap();
+    let mut rewritten = Vec::new();
+    for payload in RecordScanner::new(&bytes) {
+        let mut record = BlockRecord::decode(payload).unwrap();
+        if record.epoch() == FORGED {
+            let image = record.writes.iter_mut().find_map(|(_, post)| post.as_mut()).expect("a post-image");
+            image.balance = image.balance + U256::from(1u64);
+        }
+        rewritten.extend_from_slice(&encode_record(&record.encode()));
+    }
+    assert_eq!(rewritten.len(), bytes.len(), "the forgery keeps every record's length");
+    fs::write(&journal, rewritten).unwrap();
+
+    match ChainStore::open(StoreConfig::durable(genesis(&key), &dir)) {
+        Err(StoreError::Corrupt(message)) => {
+            assert!(message.contains(&format!("block {FORGED} ")), "names the height: {message}")
+        }
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(store) => panic!("recovered a forged journal to height {}", store.head_number()),
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The framing layer under the same crash model: for every write limit,

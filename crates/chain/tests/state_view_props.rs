@@ -6,6 +6,11 @@
 //! instant — and stays that way while the live state keeps mutating.
 //! `deep_clone` is the old O(state) clone semantics, kept precisely to
 //! serve as the oracle here (and as the RAA-STATE bench baseline).
+//!
+//! The second contract: the incremental state root (a cached tree carried
+//! from parent to child and advanced over the accounts changed since)
+//! equals the from-scratch [`common::accounts_root`] oracle after every
+//! op, on every branch of a forked state, and on every view.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -14,6 +19,8 @@ use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_types::u256::U256;
 use sereth_vm::exec::{ContractCode, Storage};
+
+mod common;
 
 /// One step of the interleaved workload. Mutations mirror every journaled
 /// entry kind; the control ops exercise the journal machinery around the
@@ -33,6 +40,11 @@ enum Op {
     Seal,
     /// Capture a `StateView` plus its eager deep-clone oracle.
     TakeView,
+    /// Root the current branch, then start a new branch as its clone:
+    /// two children of one cached parent (root properties only).
+    Fork,
+    /// Make branch `n % branches` the current one (root properties only).
+    Switch(u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -78,7 +90,9 @@ fn run_one(state: &mut StateDb, op: &Op) {
         Op::Store(a, k, v) => {
             state.storage_set(&addr(*a), H256::from_low_u64(*k as u64), H256::from_low_u64(*v));
         }
-        Op::Snapshot | Op::Revert | Op::Seal | Op::TakeView => unreachable!("control op given to run_one"),
+        Op::Snapshot | Op::Revert | Op::Seal | Op::TakeView | Op::Fork | Op::Switch(_) => {
+            unreachable!("control op given to run_one")
+        }
     }
 }
 
@@ -101,6 +115,7 @@ fn run_ops(ops: &[Op]) -> (StateDb, Vec<Capture>) {
             Op::TakeView => {
                 captures.push(Capture { at, view: state.view(), oracle: state.deep_clone() });
             }
+            Op::Fork | Op::Switch(_) => unreachable!("op_strategy makes no branches"),
             mutation => run_one(&mut state, mutation),
         }
     }
@@ -192,5 +207,136 @@ proptest! {
                 prop_assert_eq!(view.storage_get(&address, &key), oracle.storage_get(&address, &key));
             }
         }
+    }
+}
+
+/// The root properties write to addresses below this, over a base state
+/// that funds up to [`BASE_MAX`] accounts: most writes hit existing
+/// accounts (the cached tree's path-rehash case) and the rest create
+/// accounts (its rebuild case).
+const ROOT_ADDRESSES: u8 = 40;
+const BASE_MAX: u64 = 70;
+
+fn root_op_strategy() -> impl Strategy<Value = Op> {
+    let address = || 0..ROOT_ADDRESSES;
+    prop_oneof![
+        (address(), any::<u64>()).prop_map(|(a, v)| Op::Credit(a, v % 1_000_000)),
+        (address(), any::<u64>()).prop_map(|(a, v)| Op::Debit(a, v % 1_000_000)),
+        (address(), any::<u64>()).prop_map(|(a, v)| Op::SetNonce(a, v % 100)),
+        (address(), any::<u8>()).prop_map(|(a, b)| Op::SetCode(a, b % 3)),
+        // Small values: zero deletes the slot.
+        (address(), 0u8..4, any::<u64>()).prop_map(|(a, k, v)| Op::Store(a, k, v % 3)),
+        Just(Op::Snapshot),
+        Just(Op::Revert),
+        Just(Op::Seal),
+        Just(Op::TakeView),
+        Just(Op::Fork),
+        any::<u8>().prop_map(Op::Switch),
+    ]
+}
+
+/// One line of descent of the state, with its open snapshots.
+#[derive(Clone)]
+struct Branch {
+    state: StateDb,
+    snapshots: Vec<Snapshot>,
+}
+
+fn assert_root_is_exact(state: &StateDb, what: &str, at: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        state.state_root(),
+        common::accounts_root(state.iter()),
+        "{} root diverged at op {}",
+        what,
+        at
+    );
+    Ok(())
+}
+
+/// Runs `ops` over a base of `base` funded accounts whose root is taken
+/// (so the first child derives from a cached parent). With
+/// `root_every_op` the current branch is rooted after every op;
+/// otherwise only at seals and forks, so the cached tree goes stale
+/// across whole runs of writes, snapshots and reverts before it is
+/// advanced. Every branch and every view is checked at the end.
+fn run_rooted(base: u64, ops: &[Op], root_every_op: bool) -> Result<(), TestCaseError> {
+    let mut state = StateDb::new();
+    for n in 0..base {
+        state.credit(&Address::from_low_u64(n), U256::from(1_000 + n));
+    }
+    state.clear_journal();
+    assert_root_is_exact(&state, "base", 0)?;
+    let mut branches = vec![Branch { state, snapshots: Vec::new() }];
+    let mut current = 0;
+    // (op index, view, the view's oracle root when taken)
+    let mut views: Vec<(usize, StateView, H256)> = Vec::new();
+    for (at, op) in ops.iter().enumerate() {
+        let forkable = branches.len() < 4;
+        let branch = &mut branches[current];
+        match op {
+            Op::Snapshot => branch.snapshots.push(branch.state.snapshot()),
+            Op::Revert => {
+                if let Some(snapshot) = branch.snapshots.pop() {
+                    branch.state.revert_to(snapshot);
+                }
+            }
+            Op::Seal => {
+                branch.state.clear_journal();
+                branch.snapshots.clear();
+                assert_root_is_exact(&branch.state, "sealed", at)?;
+            }
+            Op::TakeView => {
+                let view = branch.state.view();
+                let oracle = common::accounts_root(view.iter());
+                prop_assert_eq!(view.state_root(), oracle, "view root diverged at op {}", at);
+                views.push((at, view, oracle));
+            }
+            Op::Fork => {
+                if forkable {
+                    assert_root_is_exact(&branch.state, "forked parent", at)?;
+                    let child = branch.clone();
+                    branches.push(child);
+                }
+            }
+            Op::Switch(n) => current = *n as usize % branches.len(),
+            mutation => run_one(&mut branch.state, mutation),
+        }
+        if root_every_op {
+            assert_root_is_exact(&branches[current].state, "live", at)?;
+        }
+    }
+    for (index, branch) in branches.iter().enumerate() {
+        assert_root_is_exact(&branch.state, &format!("branch {index}"), ops.len())?;
+    }
+    for (at, view, oracle) in &views {
+        prop_assert_eq!(view.state_root(), *oracle, "view taken at op {} drifted", at);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::cases(64)))]
+
+    /// The incremental root equals the from-scratch oracle after every op.
+    #[test]
+    fn incremental_root_equals_the_oracle_after_every_op(
+        base in 0..BASE_MAX,
+        ops in proptest::collection::vec(root_op_strategy(), 0..60),
+    ) {
+        run_rooted(base, &ops, true)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(common::cases(192)))]
+
+    /// The same with roots taken only at block boundaries and forks: each
+    /// advance spans many writes, reverts and account creations.
+    #[test]
+    fn incremental_root_equals_the_oracle_across_stale_spans(
+        base in 0..BASE_MAX,
+        ops in proptest::collection::vec(root_op_strategy(), 0..80),
+    ) {
+        run_rooted(base, &ops, false)?;
     }
 }

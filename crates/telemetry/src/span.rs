@@ -50,11 +50,14 @@ pub enum Phase {
     Import,
     /// Replay-validating an imported block's execution.
     Validate,
+    /// Computing a block's state root; runs inside [`Phase::Seal`] and
+    /// [`Phase::Validate`], so it is part of both.
+    StateRoot,
 }
 
 impl Phase {
     /// Every phase, in lifecycle order.
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 9] = [
         Phase::ReceiveTx,
         Phase::Admission,
         Phase::OrderCandidates,
@@ -63,6 +66,7 @@ impl Phase {
         Phase::Seal,
         Phase::Import,
         Phase::Validate,
+        Phase::StateRoot,
     ];
 
     /// The phase's registry/export name.
@@ -76,6 +80,7 @@ impl Phase {
             Phase::Seal => "seal",
             Phase::Import => "import",
             Phase::Validate => "validate",
+            Phase::StateRoot => "state_root",
         }
     }
 
