@@ -13,7 +13,9 @@
 //! Prints a markdown table and writes the `BENCH_exec.json` artifact
 //! (conflict-free sweep) for CI upload. Knobs (env): `EXEC_TXS` (comma
 //! list of block sizes; default `64,256,512`), `EXEC_CONFLICTS` (percent
-//! list; default `0,50,100`), `EXEC_THREADS` (4), `EXEC_REPS` (builds per
+//! list; default `0,50,100`), `EXEC_IDLE` (idle accounts padding the
+//! genesis, default 0; `100000` measures at nodebench's `transfer_wide`
+//! state size), `EXEC_THREADS` (4), `EXEC_REPS` (builds per
 //! measurement; default 3), `EXEC_MIN_SPEEDUP` (if > 0, exit nonzero
 //! unless parallel beats sequential by this factor at the largest
 //! conflict-free size — the CI gate), `EXEC_MAX_SLOWDOWN` (if > 0, exit
@@ -22,11 +24,10 @@
 
 use std::time::{Duration, Instant};
 
-use sereth_bench::exec_fixture::{candidates, fixture};
+use sereth_bench::exec_fixture::{candidates, fixture, miner};
 use sereth_bench::{env_list_or, env_or, write_bench_artifact, BenchPoint};
 use sereth_chain::builder::{build_block, build_block_with_mode, BlockLimits};
 use sereth_chain::parallel::ExecMode;
-use sereth_crypto::address::Address;
 
 /// Sender-key label base and contract address base (distinct from
 /// VAL-PAR's, so the two benches' fixtures stay disjoint).
@@ -39,10 +40,10 @@ struct Measured {
     speedup: f64,
 }
 
-fn measure(size: u64, conflict_pct: u64, threads: usize, reps: usize) -> Measured {
-    let (parent, state, keys) = fixture(LABELS, CONTRACTS, size);
+fn measure(size: u64, conflict_pct: u64, idle: u64, threads: usize, reps: usize) -> Measured {
+    let (parent, state, keys) = fixture(LABELS, CONTRACTS, size, idle);
     let txs = candidates(&keys, CONTRACTS, conflict_pct);
-    let miner = Address::from_low_u64(0xfee);
+    let miner = miner();
     let limits = BlockLimits { gas_limit: u64::MAX / 2, max_txs: None };
     let mode = ExecMode::Parallel { threads };
 
@@ -82,10 +83,14 @@ fn main() {
     let conflicts = env_list_or("EXEC_CONFLICTS", &[0, 50, 100]);
     let threads = env_or("EXEC_THREADS", 4usize);
     let reps = env_or("EXEC_REPS", 3usize);
+    let idle = env_or("EXEC_IDLE", 0u64);
     let min_speedup = env_or("EXEC_MIN_SPEEDUP", 0.0f64);
     let max_slowdown = env_or("EXEC_MAX_SLOWDOWN", 0.0f64);
 
-    println!("Block execution: sequential vs parallel ({threads} threads), {reps} builds per point");
+    println!(
+        "Block execution: sequential vs parallel ({threads} threads), {reps} builds per point, \
+         {idle} idle accounts"
+    );
     println!("| txs | conflict | sequential/block | parallel/block | speedup |");
     println!("|-----|----------|------------------|----------------|---------|");
 
@@ -96,7 +101,7 @@ fn main() {
     let mut worst_conflicted_speedup = f64::INFINITY;
     for &size in &sizes {
         for &conflict_pct in &conflicts {
-            let m = measure(size, conflict_pct, threads, reps);
+            let m = measure(size, conflict_pct, idle, threads, reps);
             println!(
                 "| {size:>3} | {conflict_pct:>7}% | {:>13.1} µs | {:>11.1} µs | {:>6.2}x |",
                 m.sequential.as_nanos() as f64 / 1e3,
@@ -121,6 +126,7 @@ fn main() {
         &[
             ("threads", threads.to_string()),
             ("reps", reps.to_string()),
+            ("idle_accounts", idle.to_string()),
             ("conflict_pct", "0".to_string()),
             ("host_cpus", std::thread::available_parallelism().map_or(0, |n| n.get()).to_string()),
         ],

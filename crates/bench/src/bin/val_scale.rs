@@ -14,7 +14,9 @@
 //! Prints a markdown table and writes the `BENCH_val.json` artifact
 //! (conflict-free sweep) for CI upload. Knobs (env): `VAL_TXS` (comma
 //! list of block sizes; default `64,256,512`), `VAL_CONFLICTS` (percent
-//! list; default `0,50,100`), `VAL_THREADS` (4), `VAL_REPS` (replays per
+//! list; default `0,50,100`), `VAL_IDLE` (idle accounts padding the
+//! genesis, default 0; `100000` measures at nodebench's `transfer_wide`
+//! state size), `VAL_THREADS` (4), `VAL_REPS` (replays per
 //! measurement; default 3), `VAL_MIN_SPEEDUP` (if > 0, exit nonzero
 //! unless parallel replay beats sequential by this factor at the largest
 //! conflict-free size — the CI gate), `VAL_MAX_SLOWDOWN` (if > 0, exit
@@ -23,11 +25,10 @@
 
 use std::time::{Duration, Instant};
 
-use sereth_bench::exec_fixture::{candidates, fixture};
+use sereth_bench::exec_fixture::{candidates, fixture, miner};
 use sereth_bench::{env_list_or, env_or, write_bench_artifact, BenchPoint};
 use sereth_chain::builder::{build_block, BlockLimits};
 use sereth_chain::validation::{validate_block, validate_block_with_mode, ValidationMode};
-use sereth_crypto::address::Address;
 use sereth_types::block::Block;
 
 /// Sender-key label base and contract address base (distinct from
@@ -41,11 +42,11 @@ struct Measured {
     speedup: f64,
 }
 
-fn measure(size: u64, conflict_pct: u64, threads: usize, reps: usize) -> Measured {
-    let (parent, state, keys) = fixture(LABELS, CONTRACTS, size);
+fn measure(size: u64, conflict_pct: u64, idle: u64, threads: usize, reps: usize) -> Measured {
+    let (parent, state, keys) = fixture(LABELS, CONTRACTS, size, idle);
     let txs = candidates(&keys, CONTRACTS, conflict_pct);
     let limits = BlockLimits { gas_limit: u64::MAX / 2, max_txs: None };
-    let built = build_block(&parent, &state, txs, Address::from_low_u64(0xfee), 15_000, &limits);
+    let built = build_block(&parent, &state, txs, miner(), 15_000, &limits);
     let block: &Block = &built.block;
     assert_eq!(block.transactions.len() as u64, size, "every candidate must replay");
     let mode = ValidationMode::Parallel { threads };
@@ -75,10 +76,14 @@ fn main() {
     let conflicts = env_list_or("VAL_CONFLICTS", &[0, 50, 100]);
     let threads = env_or("VAL_THREADS", 4usize);
     let reps = env_or("VAL_REPS", 3usize);
+    let idle = env_or("VAL_IDLE", 0u64);
     let min_speedup = env_or("VAL_MIN_SPEEDUP", 0.0f64);
     let max_slowdown = env_or("VAL_MAX_SLOWDOWN", 0.0f64);
 
-    println!("Block validation replay: sequential vs parallel ({threads} threads), {reps} replays per point");
+    println!(
+        "Block validation replay: sequential vs parallel ({threads} threads), {reps} replays per point, \
+         {idle} idle accounts"
+    );
     println!("| txs | conflict | sequential/replay | parallel/replay | speedup |");
     println!("|-----|----------|-------------------|-----------------|---------|");
 
@@ -89,7 +94,7 @@ fn main() {
     let mut worst_conflicted_speedup = f64::INFINITY;
     for &size in &sizes {
         for &conflict_pct in &conflicts {
-            let m = measure(size, conflict_pct, threads, reps);
+            let m = measure(size, conflict_pct, idle, threads, reps);
             println!(
                 "| {size:>3} | {conflict_pct:>7}% | {:>14.1} µs | {:>12.1} µs | {:>6.2}x |",
                 m.sequential.as_nanos() as f64 / 1e3,
@@ -114,6 +119,7 @@ fn main() {
         &[
             ("threads", threads.to_string()),
             ("reps", reps.to_string()),
+            ("idle_accounts", idle.to_string()),
             ("conflict_pct", "0".to_string()),
             ("host_cpus", std::thread::available_parallelism().map_or(0, |n| n.get()).to_string()),
         ],

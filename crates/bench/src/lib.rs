@@ -147,9 +147,10 @@ impl sereth_core::provider::HmsDataSource for PoolSource {
 }
 
 /// Shared fixture for the EXEC-PAR / VAL-PAR scale benches: a funded
-/// genesis with per-sender counter contracts, and candidate lists whose
-/// conflict ratio is a knob. Both benches must measure the *same*
-/// workload shape (one builds, one replays), so the shape exists once.
+/// genesis with per-sender counter contracts, optionally padded with idle
+/// accounts, and candidate lists whose conflict ratio is a knob. Both
+/// benches must measure the *same* workload shape (one builds, one
+/// replays), so the shape exists once.
 pub mod exec_fixture {
     use bytes::Bytes;
     use sereth_chain::genesis::GenesisBuilder;
@@ -180,23 +181,47 @@ pub mod exec_fixture {
         Address::from_low_u64(base + i)
     }
 
+    /// First address of the idle padding accounts, clear of every
+    /// contract base.
+    const IDLE_BASE: u64 = 1 << 40;
+
+    /// The coinbase both benches seal with. It exists at genesis, as a
+    /// node's coinbase does after its first block: creating it would
+    /// insert an account and rebuild the whole state tree at the seal.
+    pub fn miner() -> Address {
+        Address::from_low_u64(0xfee)
+    }
+
     /// Parent state: `size` funded senders (key labels from
-    /// `label_base`) plus `size + 1` counter contracts at
-    /// `contract_base` (index 0 is the shared hot one).
-    pub fn fixture(label_base: u64, contract_base: u64, size: u64) -> (BlockHeader, StateDb, Vec<SecretKey>) {
+    /// `label_base`), `size + 1` counter contracts at `contract_base`
+    /// (index 0 is the shared hot one), the [`miner`], and `idle` funded
+    /// accounts no transaction touches — state size without extra work,
+    /// the shape of nodebench's `transfer_wide` at `idle = 100_000`.
+    pub fn fixture(
+        label_base: u64,
+        contract_base: u64,
+        size: u64,
+        idle: u64,
+    ) -> (BlockHeader, StateDb, Vec<SecretKey>) {
         let keys: Vec<SecretKey> = (0..size).map(|i| SecretKey::from_label(label_base + i)).collect();
         let mut builder = GenesisBuilder::new();
         for key in &keys {
             builder = builder.fund(key.address(), U256::from(100_000_000u64));
         }
-        let genesis = builder.build();
-        let mut state = genesis.state;
+        for i in 0..idle {
+            builder = builder.fund(Address::from_low_u64(IDLE_BASE + i), U256::from(1u64));
+        }
+        builder = builder.fund(miner(), U256::from(1u64));
         let code = counter_code();
         for i in 0..=size {
-            state.set_code(&contract_address(contract_base, i), ContractCode::Bytecode(code.clone()));
+            builder =
+                builder.contract(contract_address(contract_base, i), ContractCode::Bytecode(code.clone()));
         }
-        state.clear_journal();
-        (genesis.block.header, state, keys)
+        // Built in one piece, the genesis state carries the root cache of
+        // its own map, as a node's head state does: a block's seal then
+        // rehashes only what the block changed, not the whole state.
+        let genesis = builder.build();
+        (genesis.block.header, genesis.state, keys)
     }
 
     /// One call per sender; `conflict_pct`% of them (spread evenly by a

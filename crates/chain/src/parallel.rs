@@ -11,9 +11,11 @@
 //!    footprint ([`AccessKey`] sets) collides with an earlier window-mate
 //!    are serialized up front instead of wasting a speculation.
 //! 2. **Speculate.** Every planned transaction executes on its own
-//!    journaled overlay (`SpecStorage`) over one shared, frozen
-//!    [`StateView`] of the wave base, concurrently under
-//!    [`std::thread::scope`]. Execution runs the *same* algorithm as the
+//!    journaled overlay (`SpecStorage`) over a shared borrow of the live
+//!    [`StateDb`] — the wave base — concurrently under
+//!    [`std::thread::scope`]. The borrow ends when the workers join,
+//!    before the merge writes: no reader of the live map outlives this
+//!    phase. Execution runs the *same* algorithm as the
 //!    sequential path (`apply_tx_inner`) and records the exact
 //!    read/write [`AccessSet`] it observed — the same footprint
 //!    vocabulary `sereth_vm::access` exposes (and that
@@ -65,7 +67,7 @@ use sereth_vm::exec::{ContractCode, Storage};
 
 use crate::builder::BlockLimits;
 use crate::executor::{apply_transaction, apply_tx_inner, BlockEnv, TxApplyError, TxState};
-use crate::state::{StateDb, StateView};
+use crate::state::StateDb;
 
 /// How a block's candidate list is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -210,7 +212,8 @@ enum SpecUndo {
     Created(Address),
 }
 
-/// A journaled, access-recording overlay over a frozen [`StateView`] —
+/// A journaled, access-recording overlay over the wave base (a shared
+/// borrow of the live [`StateDb`], frozen by the borrow) —
 /// the speculative counterpart of [`StateDb`], mirroring its mutation
 /// semantics (account auto-creation, no-op storage writes skipped,
 /// zero-slot removal expressed as an explicit zero entry) entry for entry.
@@ -218,7 +221,7 @@ enum SpecUndo {
 /// Reads arrive through `&self` trait methods, so the access set sits in a
 /// `RefCell`; each instance lives entirely inside one worker.
 struct SpecStorage<'a> {
-    base: &'a StateView,
+    base: &'a StateDb,
     balances: HashMap<Address, U256>,
     nonces: HashMap<Address, u64>,
     codes: HashMap<Address, ContractCode>,
@@ -229,7 +232,7 @@ struct SpecStorage<'a> {
 }
 
 impl<'a> SpecStorage<'a> {
-    fn new(base: &'a StateView) -> Self {
+    fn new(base: &'a StateDb) -> Self {
         Self {
             base,
             balances: HashMap::new(),
@@ -450,7 +453,7 @@ struct SpecOutcome {
 }
 
 /// Executes `tx` speculatively against the frozen `base`.
-fn speculate(base: &StateView, env: &BlockEnv, tx: &Transaction) -> SpecOutcome {
+fn speculate(base: &StateDb, env: &BlockEnv, tx: &Transaction) -> SpecOutcome {
     let mut overlay = SpecStorage::new(base);
     match apply_tx_inner(&mut overlay, env, tx, 0, false) {
         Ok((receipt, fee)) => {
@@ -495,7 +498,7 @@ fn apply_commit(state: &mut StateDb, commit: &SpecCommit, miner: &Address, index
 /// The statically-known footprint of a plain value transfer (no code at
 /// the destination), or `None` when the footprint is dynamic (contract
 /// call or creation) and only execution can discover it.
-fn static_footprint(tx: &Transaction, base: &StateView) -> Option<AccessSet> {
+fn static_footprint(tx: &Transaction, base: &StateDb) -> Option<AccessSet> {
     let to = tx.to()?; // creation: dynamic (installs code, runs nothing — but address depends on nonce)
     if !base.code_of(&to).is_empty() {
         return None;
@@ -515,7 +518,7 @@ fn static_footprint(tx: &Transaction, base: &StateView) -> Option<AccessSet> {
 /// Decides which window transactions are worth speculating (`true`) and
 /// which serialize to merge-time execution (`false`): nonce chains and
 /// statically predicted write collisions.
-fn plan_wave(chunk: &[Transaction], base: &StateView) -> Vec<bool> {
+fn plan_wave(chunk: &[Transaction], base: &StateDb) -> Vec<bool> {
     let mut senders: HashSet<Address> = HashSet::new();
     let mut predicted_writes: HashSet<AccessKey> = HashSet::new();
     chunk
@@ -545,7 +548,7 @@ fn plan_wave(chunk: &[Transaction], base: &StateView) -> Vec<bool> {
 fn speculate_wave(
     chunk: &[Transaction],
     plan: &[bool],
-    base: &StateView,
+    base: &StateDb,
     env: &BlockEnv,
     threads: usize,
 ) -> Vec<Option<SpecOutcome>> {
@@ -604,12 +607,7 @@ impl PipelineSink {
     /// `threads` workers. Only each sender's first candidate speculates —
     /// later nonces of a chain would read the earlier commit's writes and
     /// always invalidate.
-    pub fn prespeculate(
-        base: &StateView,
-        env: &BlockEnv,
-        candidates: &[Transaction],
-        threads: usize,
-    ) -> Self {
+    pub fn prespeculate(base: &StateDb, env: &BlockEnv, candidates: &[Transaction], threads: usize) -> Self {
         let mut senders: HashSet<Address> = HashSet::new();
         let plan: Vec<bool> = candidates.iter().map(|tx| senders.insert(tx.sender())).collect();
         let results = speculate_wave(candidates, &plan, base, env, threads.max(1));
@@ -759,8 +757,13 @@ pub(crate) fn run_waves_with<S: WaveSink>(
         }
 
         stats.waves += 1;
-        let base = state.view();
-        let mut plan = plan_wave(chunk, &base);
+        // Plan and speculate borrow the live state. The borrow must end
+        // before the merge takes `&mut state`, so no reader of the map is
+        // still alive at the first merge write. An owned view would be
+        // one, and that write would then copy the whole map: every wave,
+        // milliseconds at 10^5 accounts.
+        let base: &StateDb = &*state;
+        let mut plan = plan_wave(chunk, base);
         if let Some(p) = pipeline.as_deref_mut() {
             // Prefed transactions skip fresh speculation; their parked
             // outcome is validated (block-scoped) at merge instead.
@@ -771,12 +774,13 @@ pub(crate) fn run_waves_with<S: WaveSink>(
             }
         }
         let mut results =
-            telemetry.time(Phase::Speculate, || speculate_wave(chunk, &plan, &base, env, threads));
+            telemetry.time(Phase::Speculate, || speculate_wave(chunk, &plan, base, env, threads));
         stats.speculated += results.iter().filter(|r| r.is_some()).count() as u64;
 
         // Merge in canonical order. `dirty` holds every key written to the
-        // live state since `base` was frozen (plus the miner's balance,
-        // whose fee credits are applied here rather than speculated).
+        // live state since the wave speculated against it (plus the
+        // miner's balance, whose fee credits are applied here rather than
+        // speculated).
         let mut dirty: HashSet<AccessKey> = HashSet::new();
         let mut wave_conflicts = 0usize;
         let aborted = telemetry.time(Phase::Merge, || {
@@ -1097,6 +1101,60 @@ mod tests {
         assert_eq!(parallel.post_state.storage_get(&counter, &H256::ZERO), H256::from_low_u64(2));
     }
 
+    /// 64 disjoint transfers: 4 waves at 2 threads (window 16).
+    fn four_wave_block() -> (BlockHeader, StateDb, Vec<Transaction>) {
+        let keys: Vec<SecretKey> = (0..64).map(SecretKey::from_label).collect();
+        let (parent, state) = genesis_with_counter(&keys, Address::from_low_u64(0xc0de));
+        let candidates = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| transfer(key, 0, Address::from_low_u64(0x9000 + i as u64), 5))
+            .collect();
+        (parent, state, candidates)
+    }
+
+    #[test]
+    fn a_wave_built_block_unshares_the_account_map_once() {
+        use crate::state::unshares;
+        let (parent, state, candidates) = four_wave_block();
+        let (built, copies) = unshares::during(|| {
+            build_block_with_mode(
+                &parent,
+                &state,
+                &candidates,
+                Address::from_low_u64(0xaa),
+                15_000,
+                &BlockLimits::default(),
+                &ExecMode::Parallel { threads: 2 },
+            )
+        });
+        assert!(built.stats.waves >= 4, "{:?}", built.stats);
+        assert_eq!(built.block.transactions.len(), 64);
+        assert_eq!(copies, 1, "only the first write after cloning the parent state may copy the map");
+    }
+
+    #[test]
+    fn a_wave_replayed_block_unshares_the_account_map_once() {
+        use crate::state::unshares;
+        use crate::validation::{validate_block_with_mode, ValidationMode};
+        let (parent, state, candidates) = four_wave_block();
+        let block = build_block(
+            &parent,
+            &state,
+            candidates,
+            Address::from_low_u64(0xaa),
+            15_000,
+            &BlockLimits::default(),
+        )
+        .block;
+        let (validated, copies) = unshares::during(|| {
+            validate_block_with_mode(&parent, &state, &block, &ValidationMode::Parallel { threads: 2 })
+                .expect("honest block")
+        });
+        assert!(validated.stats.waves >= 4, "{:?}", validated.stats);
+        assert_eq!(copies, 1, "only the first write after cloning the parent state may copy the map");
+    }
+
     #[test]
     fn nonce_chains_serialize_by_plan_not_by_fallback() {
         let key = SecretKey::from_label(1);
@@ -1175,7 +1233,7 @@ mod tests {
         // use (a held prediction); no keys are dirty.
         let env =
             BlockEnv { number: parent.number + 1, timestamp_ms: 15_000, gas_limit: limits.gas_limit, miner };
-        let mut pipeline = PipelineSink::prespeculate(&state.view(), &env, &candidates, 2);
+        let mut pipeline = PipelineSink::prespeculate(&state, &env, &candidates, 2);
         assert_eq!(pipeline.pending(), 8);
         let built = build_block_pipelined(
             &parent,
@@ -1211,7 +1269,7 @@ mod tests {
         let limits = BlockLimits::default();
         let env =
             BlockEnv { number: parent.number + 1, timestamp_ms: 15_000, gas_limit: limits.gas_limit, miner };
-        let mut pipeline = PipelineSink::prespeculate(&predicted.view(), &env, &candidates, 2);
+        let mut pipeline = PipelineSink::prespeculate(&predicted, &env, &candidates, 2);
         // The prediction missed: sender 0's balance changed under us
         // (a gossip block landed). Seed the diff; only that sender's
         // speculation dies.
@@ -1265,7 +1323,7 @@ mod tests {
         // Predicted timestamp 15_000; the block actually seals at 16_000.
         let predicted_env =
             BlockEnv { number: parent.number + 1, timestamp_ms: 15_000, gas_limit: limits.gas_limit, miner };
-        let mut pipeline = PipelineSink::prespeculate(&state.view(), &predicted_env, &candidates, 2);
+        let mut pipeline = PipelineSink::prespeculate(&state, &predicted_env, &candidates, 2);
         pipeline.invalidate([AccessKey::Timestamp]);
         let sequential = build_block(&parent, &state, candidates.clone(), miner, 16_000, &limits);
         let built = build_block_pipelined(

@@ -502,14 +502,20 @@ impl StateDb {
     }
 
     /// The mutable account map, unsharing it first if any view or clone
-    /// still holds the previous version.
+    /// still holds the previous version. An unshare copies every pointer
+    /// of the map (milliseconds at 10^5 accounts), so hot paths must not
+    /// hold a second owner across writes.
     fn accounts_mut(&mut self) -> &mut Accounts {
+        #[cfg(test)]
+        if Arc::strong_count(&self.accounts) > 1 {
+            unshares::UNSHARES.with(|count| count.set(count.get() + 1));
+        }
         Arc::make_mut(&mut self.accounts)
     }
 
     /// Mutable access to an existing account (unshares map and account).
     fn account_mut(&mut self, address: &Address) -> &mut Account {
-        let account = Arc::make_mut(&mut self.accounts).get_mut(address).expect("journaled account exists");
+        let account = self.accounts_mut().get_mut(address).expect("journaled account exists");
         Arc::make_mut(account)
     }
 
@@ -629,9 +635,11 @@ impl StateDb {
     }
 
     /// Drops the journal; prior snapshots become unusable. Call after a
-    /// block is sealed.
+    /// block is sealed. The journal's buffer is freed, not kept: a sealed
+    /// state is retained per block, and the next block builds on a clone
+    /// with a journal of its own.
     pub fn clear_journal(&mut self) {
-        self.journal.clear();
+        self.journal = Vec::new();
     }
 
     /// The [`AccessKey`]s of every mutation
@@ -680,6 +688,24 @@ impl StateDb {
     /// Iterates accounts in address order.
     pub fn iter(&self) -> impl Iterator<Item = (&Address, &Account)> {
         self.accounts.iter().map(|(address, account)| (address, account.as_ref()))
+    }
+}
+
+/// Test-only count of real account-map unshares, per thread (block
+/// execution writes from the calling thread; wave workers only read).
+#[cfg(test)]
+pub(crate) mod unshares {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(super) static UNSHARES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// How many times `f` unshared an account map on this thread.
+    pub(crate) fn during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = UNSHARES.with(Cell::get);
+        let out = f();
+        (out, UNSHARES.with(Cell::get) - before)
     }
 }
 

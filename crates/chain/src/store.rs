@@ -24,17 +24,19 @@ use sereth_types::block::Block;
 use sereth_types::receipt::Receipt;
 use sereth_vm::exec::ContractCode;
 
+use crate::builder::BuiltBlock;
 use crate::genesis::Genesis;
 use crate::parallel::{ExecStats, ExecStatsCells};
 use crate::state::{Account, StateDb, StateView};
-use crate::validation::{validate_block_traced, ValidationError, ValidationMode};
+use crate::validation::{check_header, validate_block_traced, ValidationError, ValidationMode};
 
 /// A block retained with its replay artifacts.
 #[derive(Debug, Clone)]
 pub struct StoredBlock {
     /// The block itself.
     pub block: Block,
-    /// Receipts from validation replay.
+    /// Receipts from validation replay (from the build, for a block
+    /// imported with [`ChainStore::import_sealed`]).
     pub receipts: Vec<Receipt>,
     /// State after the block.
     pub post_state: StateDb,
@@ -62,7 +64,8 @@ pub enum ImportError {
     /// The parent block is unknown (the substrate does not buffer orphans;
     /// gossip re-delivery handles them in the simulator).
     UnknownParent,
-    /// The block failed replay validation.
+    /// The block failed validation (for [`ChainStore::import_sealed`]:
+    /// its header does not fit under the parent).
     Invalid(ValidationError),
     /// Persisting the (validly imported) block failed. The in-memory
     /// import stands; the journal is behind — callers should treat this
@@ -450,20 +453,58 @@ impl ChainStore {
         });
         self.validation_cells.absorb(&replay);
         let validated = validated.map_err(ImportError::Invalid)?;
+        let stored = StoredBlock { block, receipts: validated.receipts, post_state: validated.post_state };
+        self.insert_block(hash, stored, parent_view, vec![(Phase::Validate, validate_ns)])
+    }
 
-        let number = block.number();
+    /// Stores a block this node sealed itself, adopting the builder's
+    /// receipts and post-state instead of replaying the body. Builder and
+    /// replay run the one transaction algorithm, so a replay would only
+    /// recompute them. Everything else is [`ChainStore::import`]'s: the
+    /// header checks (parent, height, timestamp), fork choice, durable
+    /// persistence, the `import` phase and the block trace. There is no
+    /// `validate` phase sample and no `validation.*` count.
+    ///
+    /// Debug builds still replay the block, untimed and uncounted, and
+    /// assert the same receipts and state root, so every test that mines
+    /// checks the two paths agree.
+    ///
+    /// # Errors
+    ///
+    /// See [`ImportError`]; `Invalid` only for a failed header check.
+    pub fn import_sealed(&mut self, built: BuiltBlock) -> Result<ImportOutcome, ImportError> {
+        let BuiltBlock { block, receipts, post_state, .. } = built;
+        let hash = block.hash();
+        if self.blocks.contains_key(&hash) {
+            return Ok(ImportOutcome::AlreadyKnown);
+        }
+        let parent = self.blocks.get(&block.header.parent_hash).ok_or(ImportError::UnknownParent)?;
+        check_header(&parent.block.header, &block.header).map_err(ImportError::Invalid)?;
+        #[cfg(debug_assertions)]
+        assert_replay_matches(parent, &block, &receipts, &post_state, &self.validation_mode);
+        let parent_view = self.backend.is_durable().then(|| parent.post_state.view());
+        self.insert_block(hash, StoredBlock { block, receipts, post_state }, parent_view, Vec::new())
+    }
+
+    /// The tail both imports share: insert `stored` and run fork choice
+    /// (timed as [`Phase::Import`]), trace the block with `phase_ns` plus
+    /// the import time, and on a durable backend persist its write-set
+    /// relative to `parent_view`.
+    fn insert_block(
+        &mut self,
+        hash: H256,
+        stored: StoredBlock,
+        parent_view: Option<StateView>,
+        mut phase_ns: Vec<(Phase, u64)>,
+    ) -> Result<ImportOutcome, ImportError> {
+        let telemetry = Arc::clone(&self.telemetry);
+        let number = stored.block.number();
         let (outcome, import_ns) = telemetry.time_ns(Phase::Import, || {
-            self.blocks.insert(
-                hash,
-                StoredBlock { block, receipts: validated.receipts, post_state: validated.post_state },
-            );
+            self.blocks.insert(hash, stored);
             self.place_block(hash, number)
         });
-        telemetry.trace_block(BlockTrace {
-            number,
-            role: "import",
-            phase_ns: vec![(Phase::Validate, validate_ns), (Phase::Import, import_ns)],
-        });
+        phase_ns.push((Phase::Import, import_ns));
+        telemetry.trace_block(BlockTrace { number, role: "import", phase_ns });
         if let Some(parent_view) = parent_view {
             self.persist_block(&hash, &parent_view).map_err(ImportError::Store)?;
         }
@@ -700,6 +741,41 @@ impl ChainStore {
             storage: record.storage.iter().copied().collect(),
         })
     }
+}
+
+/// The debug-build oracle of [`ChainStore::import_sealed`]: replays the
+/// sealed `block` on its parent under `mode`, untimed and uncounted, and
+/// asserts the builder's receipts and post-state root equal the replay's.
+#[cfg(debug_assertions)]
+fn assert_replay_matches(
+    parent: &StoredBlock,
+    block: &Block,
+    receipts: &[Receipt],
+    post_state: &StateDb,
+    mode: &ValidationMode,
+) {
+    let mut scratch = ExecStats::default();
+    let replayed = validate_block_traced(
+        &parent.block.header,
+        &parent.post_state,
+        block,
+        mode,
+        &mut scratch,
+        Telemetry::off(),
+    )
+    .unwrap_or_else(|error| panic!("sealed block {} fails its own replay: {error}", block.number()));
+    assert_eq!(
+        replayed.receipts,
+        receipts,
+        "sealed block {}: build and replay receipts differ",
+        block.number()
+    );
+    assert_eq!(
+        replayed.post_state.state_root(),
+        post_state.state_root(),
+        "sealed block {}: build and replay post-states differ",
+        block.number()
+    );
 }
 
 /// The persisted image of a live [`Account`].

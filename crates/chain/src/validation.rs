@@ -12,8 +12,8 @@
 //! building — dominates network-wide compute. [`ValidationMode::Parallel`]
 //! replays the block's fixed transaction order on the same conflict-aware
 //! wave executor the builder uses (`crate::parallel::run_waves`):
-//! speculate over a frozen COW [`StateView`](crate::state::StateView),
-//! merge in canonical order with dirty-key validation, fall back to
+//! speculate over a shared borrow of the parent state's copy, merge in
+//! canonical order with dirty-key validation, fall back to
 //! sequential re-execution on mis-speculation. The two modes are
 //! **verdict-equivalent** — identical `Ok` artifacts and identical
 //! [`ValidationError`] variants (including the [`BadTransaction`] index)
@@ -227,6 +227,28 @@ pub fn validate_block_accounted(
     validate_block_traced(parent, parent_state, block, mode, stats_out, Telemetry::off())
 }
 
+/// The checks that place `header` under `parent`: parent hash, height,
+/// and timestamp monotonicity. Replay validation runs them first; the
+/// import of a block this node sealed itself runs only these (its body,
+/// receipts and post-state come from the builder).
+///
+/// # Errors
+///
+/// [`ValidationError::WrongParent`], [`ValidationError::WrongNumber`] or
+/// [`ValidationError::NonMonotonicTimestamp`].
+pub(crate) fn check_header(parent: &BlockHeader, header: &BlockHeader) -> Result<(), ValidationError> {
+    if header.parent_hash != parent.hash() {
+        return Err(ValidationError::WrongParent);
+    }
+    if header.number != parent.number + 1 {
+        return Err(ValidationError::WrongNumber);
+    }
+    if header.timestamp_ms <= parent.timestamp_ms {
+        return Err(ValidationError::NonMonotonicTimestamp);
+    }
+    Ok(())
+}
+
 /// [`validate_block_accounted`] recording into `telemetry`: a parallel
 /// replay's speculate/merge stages and the state root land in their phase
 /// histograms (the overall validate span is the *caller's* to record —
@@ -245,15 +267,7 @@ pub fn validate_block_traced(
     stats_out: &mut ExecStats,
     telemetry: &Telemetry,
 ) -> Result<Validated, ValidationError> {
-    if block.header.parent_hash != parent.hash() {
-        return Err(ValidationError::WrongParent);
-    }
-    if block.header.number != parent.number + 1 {
-        return Err(ValidationError::WrongNumber);
-    }
-    if block.header.timestamp_ms <= parent.timestamp_ms {
-        return Err(ValidationError::NonMonotonicTimestamp);
-    }
+    check_header(parent, &block.header)?;
     if Block::compute_tx_root(&block.transactions) != block.header.tx_root {
         return Err(ValidationError::TxRootMismatch);
     }

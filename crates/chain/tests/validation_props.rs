@@ -10,13 +10,23 @@
 //! cross-contract sub-calls, reverting executions, and 100 %-conflicting
 //! write sets; tampers cover calldata rewrites, body reorders (resealed
 //! and not), gas inflation, shrunken gas limits, and wrong roots.
+//!
+//! A second contract: a miner's `ChainStore::import_sealed`, which adopts
+//! the builder's receipts and post-state instead of replaying, ends in
+//! the same store as `ChainStore::import` for every built block —
+//! sequential or wave-built, in memory or durable, extending the head,
+//! joining a side chain, or reorganising.
+
+use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use sereth_chain::builder::{build_block, BlockLimits};
+use sereth_chain::builder::{build_block, build_block_with_mode, BlockLimits, BuiltBlock};
+use sereth_chain::parallel::ExecMode;
 use sereth_chain::state::StateDb;
+use sereth_chain::store::{ChainStore, ImportOutcome, StoreConfig};
 use sereth_chain::validation::{validate_block_with_mode, ValidationError, ValidationMode};
-use sereth_chain::GenesisBuilder;
+use sereth_chain::{Genesis, GenesisBuilder};
 use sereth_crypto::address::Address;
 use sereth_crypto::hash::H256;
 use sereth_crypto::sig::SecretKey;
@@ -77,23 +87,26 @@ fn sender_key(index: u8) -> SecretKey {
     SecretKey::from_label(2_000 + index as u64)
 }
 
-fn genesis() -> (BlockHeader, StateDb) {
+fn chain_genesis() -> Genesis {
     let mut builder = GenesisBuilder::new();
     for s in 0..SENDERS {
         builder = builder.fund(sender_key(s as u8).address(), U256::from(10_000_000u64));
     }
-    let built = builder.build();
-    let mut state = built.state;
     for (address, code) in contract_codes() {
-        state.set_code(&Address::from_low_u64(address), ContractCode::Bytecode(code));
+        builder = builder.contract(Address::from_low_u64(address), ContractCode::Bytecode(code));
     }
-    state.clear_journal();
-    (built.block.header, state)
+    builder.build()
 }
 
-/// Turns kinds into signed transactions with per-sender nonce tracking.
-fn assemble_candidates(kinds: &[TxKind]) -> Vec<Transaction> {
-    let mut nonces = [0u64; SENDERS as usize];
+fn genesis() -> (BlockHeader, StateDb) {
+    let genesis = chain_genesis();
+    (genesis.block.header, genesis.state)
+}
+
+/// Turns kinds into signed transactions with per-sender nonce tracking,
+/// starting from each sender's nonce in `state`.
+fn assemble_candidates(state: &StateDb, kinds: &[TxKind]) -> Vec<Transaction> {
+    let mut nonces: Vec<u64> = (0..SENDERS).map(|s| state.nonce_of(&sender_key(s as u8).address())).collect();
     kinds
         .iter()
         .map(|kind| match kind {
@@ -133,7 +146,7 @@ fn assemble_candidates(kinds: &[TxKind]) -> Vec<Transaction> {
 
 fn honest_block(kinds: &[TxKind]) -> (BlockHeader, StateDb, Block) {
     let (parent, state) = genesis();
-    let candidates = assemble_candidates(kinds);
+    let candidates = assemble_candidates(&state, kinds);
     let built = build_block(
         &parent,
         &state,
@@ -369,5 +382,169 @@ proptest! {
             .collect();
         prop_assert_eq!(&verdicts[0], &verdicts[1]);
         prop_assert_eq!(&verdicts[1], &verdicts[2]);
+    }
+}
+
+/// Where a generated block lands relative to the store's head.
+#[derive(Debug, Clone, Copy)]
+enum Placement {
+    /// Two blocks, each extending the head.
+    Extend,
+    /// A canonical block, then a sibling of it: a side chain.
+    SideChain,
+    /// A canonical block, then a two-block sibling chain that overtakes it.
+    Reorg,
+}
+
+fn placement_strategy() -> impl Strategy<Value = Placement> {
+    prop_oneof![Just(Placement::Extend), Just(Placement::SideChain), Just(Placement::Reorg)]
+}
+
+/// Builds `kinds` on `parent` under `mode`; `miner` and `timestamp_ms`
+/// tell siblings apart.
+fn build_on(
+    parent: (&BlockHeader, &StateDb),
+    kinds: &[TxKind],
+    mode: &ExecMode,
+    miner: u64,
+    timestamp_ms: u64,
+) -> BuiltBlock {
+    let candidates = assemble_candidates(parent.1, kinds);
+    build_block_with_mode(
+        parent.0,
+        parent.1,
+        &candidates,
+        Address::from_low_u64(miner),
+        timestamp_ms,
+        &BlockLimits::default(),
+        mode,
+    )
+}
+
+/// Every file of a durable store directory, by name.
+fn directory_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            (path.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Two stores over one genesis: `replayed` imports every block with
+/// `import`, `adopted` with `import_sealed`.
+struct Twins {
+    replayed: ChainStore,
+    adopted: ChainStore,
+    dirs: Option<(PathBuf, PathBuf)>,
+}
+
+impl Twins {
+    fn open(durable: bool) -> Self {
+        if durable {
+            let dirs =
+                (sereth_store::scratch_dir("sealed-replayed"), sereth_store::scratch_dir("sealed-adopted"));
+            Self {
+                replayed: ChainStore::open(StoreConfig::durable(chain_genesis(), &dirs.0)).unwrap(),
+                adopted: ChainStore::open(StoreConfig::durable(chain_genesis(), &dirs.1)).unwrap(),
+                dirs: Some(dirs),
+            }
+        } else {
+            Self {
+                replayed: ChainStore::open(StoreConfig::in_memory(chain_genesis())).unwrap(),
+                adopted: ChainStore::open(StoreConfig::in_memory(chain_genesis())).unwrap(),
+                dirs: None,
+            }
+        }
+    }
+
+    /// Imports `built` into both stores and checks they agree on the
+    /// outcome, the head, and the block's receipts and post-state root.
+    fn import(&mut self, built: BuiltBlock) -> Result<ImportOutcome, TestCaseError> {
+        let hash = built.block.hash();
+        let replayed = self.replayed.import(built.block.clone());
+        let adopted = self.adopted.import_sealed(built);
+        prop_assert_eq!(&adopted, &replayed, "import outcomes diverged");
+        prop_assert_eq!(self.adopted.head_hash(), self.replayed.head_hash());
+        prop_assert_eq!(self.adopted.head_state().state_root(), self.replayed.head_state().state_root());
+        let (a, r) = (self.adopted.get(&hash).unwrap(), self.replayed.get(&hash).unwrap());
+        prop_assert_eq!(&a.receipts, &r.receipts, "stored receipts diverged");
+        prop_assert_eq!(a.post_state.state_root(), r.post_state.state_root(), "stored post-states diverged");
+        prop_assert_eq!(a.post_state.state_root(), a.block.header.state_root);
+        Ok(replayed.unwrap())
+    }
+
+    /// `(header, post-state)` of the stored block `hash`.
+    fn parent(&self, hash: &sereth_crypto::hash::H256) -> (BlockHeader, StateDb) {
+        let stored = self.replayed.get(hash).unwrap();
+        (stored.block.header.clone(), stored.post_state.clone())
+    }
+
+    /// On durable twins, the directories must hold byte-identical
+    /// snapshots and journal records.
+    fn finish(self) -> Result<(), TestCaseError> {
+        let Twins { replayed, adopted, dirs } = self;
+        drop((replayed, adopted));
+        if let Some((replayed_dir, adopted_dir)) = dirs {
+            let (replayed_files, adopted_files) =
+                (directory_bytes(&replayed_dir), directory_bytes(&adopted_dir));
+            std::fs::remove_dir_all(&replayed_dir).unwrap();
+            std::fs::remove_dir_all(&adopted_dir).unwrap();
+            prop_assert!(replayed_files == adopted_files, "durable store files diverged");
+        }
+        Ok(())
+    }
+}
+
+fn exec_mode(threads: usize) -> ExecMode {
+    if threads == 1 {
+        ExecMode::Sequential
+    } else {
+        ExecMode::Parallel { threads }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(96)))]
+
+    /// `import_sealed` ≡ `import` on every built block: same outcome,
+    /// head, receipts and state root, and on durable stores the same
+    /// bytes on disk.
+    #[test]
+    fn import_sealed_matches_import(
+        first in prop::collection::vec(kind_strategy(), 0..16),
+        second in prop::collection::vec(kind_strategy(), 0..16),
+        third in prop::collection::vec(kind_strategy(), 0..16),
+        threads in 1usize..=4,
+        durable in any::<bool>(),
+        placement in placement_strategy(),
+    ) {
+        let mode = exec_mode(threads);
+        let mut twins = Twins::open(durable);
+        let (genesis_header, genesis_state) = twins.parent(&twins.replayed.head_hash());
+        let b1 = build_on((&genesis_header, &genesis_state), &first, &mode, MINER, 15_000);
+        let b1_hash = b1.block.hash();
+        prop_assert_eq!(twins.import(b1)?, ImportOutcome::ExtendedCanonical);
+        match placement {
+            Placement::Extend => {
+                let (header, state) = twins.parent(&b1_hash);
+                let b2 = build_on((&header, &state), &second, &mode, MINER, 30_000);
+                prop_assert_eq!(twins.import(b2)?, ImportOutcome::ExtendedCanonical);
+            }
+            Placement::SideChain | Placement::Reorg => {
+                let s1 = build_on((&genesis_header, &genesis_state), &second, &mode, MINER + 1, 16_000);
+                let s1_hash = s1.block.hash();
+                prop_assert_eq!(twins.import(s1)?, ImportOutcome::SideChain);
+                if let Placement::Reorg = placement {
+                    let (header, state) = twins.parent(&s1_hash);
+                    let s2 = build_on((&header, &state), &third, &mode, MINER + 1, 31_000);
+                    prop_assert_eq!(twins.import(s2)?, ImportOutcome::Reorged { reverted: 1 });
+                }
+            }
+        }
+        twins.finish()?;
     }
 }

@@ -16,7 +16,7 @@ use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard};
-use sereth_chain::builder::{build_block_traced, BlockLimits};
+use sereth_chain::builder::{build_block_traced, BlockLimits, BuiltBlock};
 use sereth_chain::executor::{call_readonly, BlockEnv};
 use sereth_chain::genesis::Genesis;
 use sereth_chain::parallel::{ExecMode, ExecStats, ExecStatsCells};
@@ -1105,10 +1105,12 @@ impl NodeHandle {
 
     /// Cumulative executor counters over every block this node has
     /// replay-validated — the validation-side twin of
-    /// [`NodeHandle::exec_stats`]. Every import (gossip, orphan retry, and
-    /// the node's own mined blocks) replays through the chain store, so
-    /// this is the per-peer redundant-validation cost the paper's §II-D
-    /// cost model describes. Lock-free, like [`NodeHandle::exec_stats`].
+    /// [`NodeHandle::exec_stats`]. Every foreign block (gossip, orphan
+    /// retry) replays through the chain store, so this is the per-peer
+    /// redundant-validation cost the paper's §II-D cost model describes.
+    /// The node's own mined blocks are adopted without replay and count
+    /// nothing here (debug builds replay them as an uncounted oracle).
+    /// Lock-free, like [`NodeHandle::exec_stats`].
     pub fn validation_stats(&self) -> ExecStats {
         self.validation_cells.snapshot()
     }
@@ -1175,16 +1177,19 @@ impl NodeHandle {
             role: "build",
             phase_ns: vec![(Phase::OrderCandidates, order_ns)],
         });
-        self.import_mined(built.block)
+        self.import_mined(built)
     }
 
     /// The second lock of a mining pass: imports a block this node just
-    /// sealed. Shared by [`NodeHandle::mine`] and the pipelined miner so
-    /// every self-import outcome — including the failure telemetry — is
-    /// handled identically.
-    pub(crate) fn import_mined(&self, block: Block) -> Option<Block> {
+    /// sealed, adopting the builder's post-state and receipts
+    /// ([`ChainStore::import_sealed`]) rather than replaying it. Shared by
+    /// [`NodeHandle::mine`] and the pipelined miner so every self-import
+    /// outcome — including the failure telemetry — is handled
+    /// identically.
+    pub(crate) fn import_mined(&self, built: BuiltBlock) -> Option<Block> {
+        let block = built.block.clone();
         let mut inner = self.lock();
-        match inner.chain.import(block.clone()) {
+        match inner.chain.import_sealed(built) {
             Ok(ImportOutcome::ExtendedCanonical) | Ok(ImportOutcome::Reorged { .. }) => {
                 Self::after_import(&mut inner, &block);
                 Some(block)
@@ -1562,13 +1567,16 @@ mod tests {
         let owner = SecretKey::from_label(1);
         let node = node(ClientKind::Geth, &owner, true);
         let foreign_owner = SecretKey::from_label(2);
-        let foreign = NodeHandle::new(
-            GenesisBuilder::new().fund(foreign_owner.address(), U256::from(1_000_000_000u64)).build(),
-            NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
-                .coinbase(Address::from_low_u64(0xc01))
-                .build(),
+        let foreign =
+            GenesisBuilder::new().fund(foreign_owner.address(), U256::from(1_000_000_000u64)).build();
+        let alien = sereth_chain::builder::build_block(
+            &foreign.block.header,
+            &foreign.state,
+            Vec::new(),
+            Address::from_low_u64(0xc01),
+            15_000,
+            &BlockLimits::default(),
         );
-        let alien = foreign.mine(15_000).expect("foreign miner seals");
         assert!(node.import_mined(alien).is_none());
         let snapshot = node.telemetry_snapshot();
         assert_eq!(snapshot.counters.get("node.self_import_failed").copied(), Some(1));
@@ -1614,9 +1622,14 @@ mod tests {
         // through registry atomics, so the node-lock counter must not
         // move at all.
         let owner = SecretKey::from_label(1);
+        let peer = node(ClientKind::Sereth, &owner, true);
         let node = node(ClientKind::Sereth, &owner, true);
         assert!(node.receive_tx(set_tx(&owner, 0, genesis_mark(), 75), 100));
         node.mine(15_000).expect("miner seals");
+        // Self-sealed blocks import without replay; a peer's block (here
+        // a side-chain sibling) is what takes the `validate` phase.
+        let foreign = peer.mine(16_000).expect("peer seals");
+        assert_eq!(node.receive_block(foreign), BlockReceipt::Imported);
 
         let before = node.lock_acquisitions();
         let exec = node.exec_stats();

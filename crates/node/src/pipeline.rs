@@ -44,7 +44,7 @@ use sereth_chain::parallel::{ExecMode, PipelineSink};
 use sereth_chain::state::StateDb;
 use sereth_crypto::hash::H256;
 use sereth_telemetry::{BlockTrace, Phase};
-use sereth_types::block::Block;
+use sereth_types::block::{Block, BlockHeader};
 use sereth_types::transaction::Transaction;
 use sereth_types::SimTime;
 use sereth_vm::access::AccessKey;
@@ -240,29 +240,23 @@ impl PipelinedMiner {
         // The overlap: lock #2 (import) on this thread, the next block's
         // prespeculation on a scoped sibling. The sibling touches only
         // the pool's internal locks and owned state — never the node
-        // lock, so the two-acquisition discipline is preserved.
-        let block = built.block.clone();
+        // lock, so the two-acquisition discipline is preserved. The
+        // import adopts the built post-state; the sibling gets an O(1)
+        // copy-on-write clone of it (neither side writes to it).
+        let post_state = built.post_state.clone();
+        let sealed = built.block.header.clone();
         let (imported, prespec) = std::thread::scope(|scope| {
             let speculate = (!degraded).then(|| {
                 scope.spawn(|| {
                     let started = Instant::now();
                     let prespec = prespeculate_next(
-                        &pool,
-                        built.post_state,
-                        &built.block,
-                        &setup,
-                        &policy,
-                        &contract,
-                        &limits,
-                        budget,
-                        threads,
-                        now,
+                        &pool, post_state, &sealed, &setup, &policy, &contract, &limits, budget, threads, now,
                     );
                     (prespec, started.elapsed().as_nanos() as u64)
                 })
             });
             let started = Instant::now();
-            let imported = self.node.import_mined(block);
+            let imported = self.node.import_mined(built);
             let import_ns = started.elapsed().as_nanos() as u64;
             let prespec = speculate.map(|handle| handle.join().expect("prespeculation thread"));
             if let Some((_, spec_ns)) = &prespec {
@@ -278,13 +272,14 @@ impl PipelinedMiner {
     }
 }
 
-/// Builds the prediction for the block after `sealed`: candidates ordered
-/// against its post-state, speculated under its predicted env.
+/// Builds the prediction for the block after the one headed `sealed`:
+/// candidates ordered against its post-state, speculated under its
+/// predicted env.
 #[allow(clippy::too_many_arguments)] // one-caller helper splitting the scoped thread body out of mine()
 fn prespeculate_next(
     pool: &sereth_chain::txpool::TxPool,
     post_state: StateDb,
-    sealed: &Block,
+    sealed: &BlockHeader,
     setup: &crate::node::MinerSetup,
     policy: &MinerPolicy,
     contract: &sereth_crypto::address::Address,
@@ -293,25 +288,25 @@ fn prespeculate_next(
     threads: usize,
     now: SimTime,
 ) -> Prespec {
-    let view = post_state.view();
     // The sealed block's transactions are still pooled (the import that
     // prunes them is racing us); ordering against the post-state nonces
     // skips them exactly — the stale-prefix exactness of
     // `ready_by_price_limited`.
-    let candidates: Vec<Transaction> = order_candidates_limited(pool, &view, contract, policy, budget);
+    let candidates: Vec<Transaction> =
+        order_candidates_limited(pool, &post_state.view(), contract, policy, budget);
     let predicted_timestamp = match setup.schedule {
         // The sim drives fixed-schedule miners on exact ticks.
-        BlockSchedule::Fixed(interval) => (now + interval).max(sealed.header.timestamp_ms + 1),
+        BlockSchedule::Fixed(interval) => (now + interval).max(sealed.timestamp_ms + 1),
         // Memoryless schedules are unpredictable; the floor is the best
         // guess, and only TIMESTAMP-reading outcomes pay for a miss.
-        BlockSchedule::Exponential { .. } => sealed.header.timestamp_ms + 1,
+        BlockSchedule::Exponential { .. } => sealed.timestamp_ms + 1,
     };
     let env = BlockEnv {
-        number: sealed.header.number + 1,
+        number: sealed.number + 1,
         timestamp_ms: predicted_timestamp,
         gas_limit: limits.gas_limit,
         miner: setup.coinbase,
     };
-    let sink = PipelineSink::prespeculate(&view, &env, &candidates, threads);
+    let sink = PipelineSink::prespeculate(&post_state, &env, &candidates, threads);
     Prespec { parent_hash: sealed.hash(), state: post_state, env, sink }
 }

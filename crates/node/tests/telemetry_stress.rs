@@ -11,6 +11,7 @@
 //! that nothing is recorded.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use bytes::Bytes;
 use sereth_chain::builder::BlockLimits;
@@ -76,14 +77,19 @@ fn node(telemetry: TelemetryConfig) -> NodeHandle {
 /// returns the mid-flight snapshots followed by one quiescent snapshot.
 fn race(node: &NodeHandle) -> Vec<TelemetrySnapshot> {
     let submitting = AtomicBool::new(true);
+    // Submitters and the reader start together, so the reader's first
+    // snapshot always lands inside the race however fast it runs.
+    let start = Barrier::new(SUBMITTERS + 1);
     let mut snapshots = Vec::new();
 
     std::thread::scope(|scope| {
         let node_ref = &node;
         let submitting_ref = &submitting;
+        let start_ref = &start;
         let mut submitters = Vec::new();
         for submitter in 0..SUBMITTERS {
             submitters.push(scope.spawn(move || {
+                start_ref.wait();
                 for nonce in 0..NONCES_PER_SENDER {
                     for sender in 0..SENDERS_PER_SUBMITTER {
                         let key = sender_key(submitter, sender);
@@ -116,11 +122,14 @@ fn race(node: &NodeHandle) -> Vec<TelemetrySnapshot> {
 
         let reader = scope.spawn(move || {
             let mut taken = Vec::new();
-            while submitting_ref.load(Ordering::Relaxed) {
+            start_ref.wait();
+            loop {
                 taken.push(node_ref.telemetry_snapshot());
+                if !submitting_ref.load(Ordering::Relaxed) {
+                    break taken;
+                }
                 std::thread::yield_now();
             }
-            taken
         });
 
         for handle in submitters {

@@ -8,10 +8,12 @@
 //! the result must *still* be byte-identical to a sequential miner's
 //! chain. A twin node running `ExecMode::Sequential` over the identical
 //! transaction feed is the oracle: after every block the two heads are
-//! compared, and the run fails on the first divergence.
+//! compared, and the run fails on the first divergence. A follower
+//! replaying the parallel miner's blocks on the wave executor puts the
+//! same conflict storm through parallel replay validation.
 
 use sereth_chain::builder::BlockLimits;
-use sereth_chain::genesis::GenesisBuilder;
+use sereth_chain::genesis::{Genesis, GenesisBuilder};
 use sereth_chain::parallel::{ExecMode, ExecStats};
 use sereth_chain::validation::ValidationMode;
 use sereth_core::fpv::{Flag, Fpv};
@@ -23,7 +25,7 @@ use sereth_node::contract::{
     buy_selector, default_contract_address, sereth_code, sereth_genesis_slots, set_selector, ContractForm,
 };
 use sereth_node::miner::MinerPolicy;
-use sereth_node::node::{NodeConfig, NodeHandle};
+use sereth_node::node::{BlockReceipt, NodeConfig, NodeHandle};
 use sereth_types::transaction::{Transaction, TxPayload};
 use sereth_types::u256::U256;
 
@@ -55,12 +57,26 @@ pub struct ContendedReport {
     pub txs_committed: u64,
     /// The parallel miner's cumulative executor counters.
     pub stats: ExecStats,
-    /// The parallel node's cumulative *replay-validation* counters — every
-    /// sealed block is re-imported through the chain store, so the same
-    /// conflict storm hits the validation path.
+    /// The follower's cumulative *replay-validation* counters: it imports
+    /// every block the parallel miner seals under
+    /// `ValidationMode::Parallel`, so the same conflict storm hits the
+    /// validation path.
     pub validation_stats: ExecStats,
     /// `true` iff every block matched the sequential oracle's.
     pub heads_match: bool,
+}
+
+fn contended_genesis(config: &ContendedConfig, owner: &SecretKey, buyers: &[SecretKey]) -> Genesis {
+    let mut genesis_builder =
+        GenesisBuilder::new().fund(owner.address(), U256::from(u64::MAX / 2)).contract_with_storage(
+            default_contract_address(),
+            sereth_code(ContractForm::Native),
+            sereth_genesis_slots(&owner.address(), H256::from_low_u64(config.initial_price)),
+        );
+    for key in buyers {
+        genesis_builder = genesis_builder.fund(key.address(), U256::from(u64::MAX / 2));
+    }
+    genesis_builder.build()
 }
 
 fn contended_node(
@@ -70,19 +86,9 @@ fn contended_node(
     mode: ExecMode,
     validation_mode: ValidationMode,
 ) -> NodeHandle {
-    let contract = default_contract_address();
-    let mut genesis_builder =
-        GenesisBuilder::new().fund(owner.address(), U256::from(u64::MAX / 2)).contract_with_storage(
-            contract,
-            sereth_code(ContractForm::Native),
-            sereth_genesis_slots(&owner.address(), H256::from_low_u64(config.initial_price)),
-        );
-    for key in buyers {
-        genesis_builder = genesis_builder.fund(key.address(), U256::from(u64::MAX / 2));
-    }
     NodeHandle::new(
-        genesis_builder.build(),
-        NodeConfig::miner(contract, MinerPolicy::Standard)
+        contended_genesis(config, owner, buyers),
+        NodeConfig::miner(default_contract_address(), MinerPolicy::Standard)
             .coinbase(Address::from_low_u64(0xc0b1))
             .limits(BlockLimits { gas_limit: 64_000_000, max_txs: None })
             .exec_mode(mode)
@@ -124,10 +130,10 @@ pub fn run_contended_market(config: &ContendedConfig) -> ContendedReport {
     let buyers: Vec<SecretKey> =
         (0..config.buyers).map(|b| SecretKey::from_label(4_100 + b as u64)).collect();
 
-    // The parallel node also *replays* its own sealed blocks on the wave
-    // executor (every `mine` imports through the chain store), so the
-    // scenario exercises 100 %-conflicting parallel validation too; the
-    // sequential twin is the oracle on both paths.
+    // A miner adopts its own sealed blocks without replaying them, so a
+    // follower replays the parallel miner's blocks on the wave executor:
+    // the scenario exercises 100 %-conflicting parallel validation too,
+    // and the sequential twin is the oracle on both paths.
     let parallel = contended_node(
         config,
         &owner,
@@ -137,6 +143,12 @@ pub fn run_contended_market(config: &ContendedConfig) -> ContendedReport {
     );
     let sequential =
         contended_node(config, &owner, &buyers, ExecMode::Sequential, ValidationMode::Sequential);
+    let follower = NodeHandle::new(
+        contended_genesis(config, &owner, &buyers),
+        NodeConfig::geth(default_contract_address())
+            .validation_mode(ValidationMode::Parallel { threads: config.threads })
+            .build(),
+    );
 
     let mut now = 1u64;
     let mut mark = genesis_mark();
@@ -166,6 +178,11 @@ pub fn run_contended_market(config: &ContendedConfig) -> ContendedReport {
             seq_block.hash(),
             "contended block {round} diverged between parallel and sequential mining"
         );
+        assert_eq!(
+            follower.receive_block(par_block.clone()),
+            BlockReceipt::Imported,
+            "the follower must accept contended block {round}"
+        );
         txs_committed += par_block.transactions.len() as u64;
         mark = compute_mark(&mark, &H256::from_low_u64(next_price));
         price = next_price;
@@ -175,7 +192,7 @@ pub fn run_contended_market(config: &ContendedConfig) -> ContendedReport {
         blocks: config.rounds as u64,
         txs_committed,
         stats: parallel.exec_stats(),
-        validation_stats: parallel.validation_stats(),
+        validation_stats: follower.validation_stats(),
         heads_match: true,
     }
 }
@@ -197,8 +214,8 @@ mod tests {
             report.stats
         );
         assert!(report.stats.waves > 0);
-        // The replay path ran the same machinery: every sealed block was
-        // re-validated on the wave executor and still matched the oracle.
+        // The replay path ran the same machinery: the follower
+        // re-validated every sealed block on the wave executor.
         assert!(
             report.validation_stats.waves > 0,
             "parallel replay validation must have run: {:?}",

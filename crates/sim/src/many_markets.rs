@@ -285,13 +285,17 @@ pub fn run_many_markets_concurrent(
     }
 
     let done = AtomicBool::new(false);
+    // The sealer starts once every reader has, and each reader reads
+    // before it first checks `done`: every reader overlaps the run,
+    // however fast the sealer is.
+    let start = std::sync::Barrier::new(reader_threads + 1);
     let reads = AtomicU64::new(0);
     let verified = AtomicU64::new(0);
     let view_checks = AtomicU64::new(0);
     let mut blocks = 0u64;
 
     std::thread::scope(|scope| {
-        // Readers first; they spin until the sealer raises `done`.
+        // Readers first; they read until the sealer raises `done`.
         for r in 0..reader_threads {
             let node = &node;
             let contracts = &contracts;
@@ -301,10 +305,12 @@ pub fn run_many_markets_concurrent(
             let reads = &reads;
             let verified = &verified;
             let view_checks = &view_checks;
+            let start = &start;
             scope.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(seed ^ (0xbead_0000 + r as u64));
                 let caller = Address::from_low_u64(0xbead_0000 + r as u64);
-                while !done.load(Ordering::Acquire) {
+                start.wait();
+                loop {
                     let market = rng.gen_range(0..contracts.len());
                     let (mark, value) =
                         node.query_view_for(contracts[market], caller).expect("sereth node answers");
@@ -334,9 +340,13 @@ pub fn run_many_markets_concurrent(
                         assert_eq!(view.state_root(), header_root, "torn view at height {height}");
                         view_checks.fetch_add(1, Ordering::Relaxed);
                     }
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
             });
         }
+        start.wait();
 
         // The sealer: same repricing schedule as the scripted scenario,
         // committing every `mine_every` rounds, holding one view per block
