@@ -14,18 +14,21 @@
 //! Prints a markdown table and writes the `BENCH_val.json` artifact
 //! (conflict-free sweep) for CI upload. Knobs (env): `VAL_TXS` (comma
 //! list of block sizes; default `64,256,512`), `VAL_CONFLICTS` (percent
-//! list; default `0,50,100`), `VAL_IDLE` (idle accounts padding the
-//! genesis, default 0; `100000` measures at nodebench's `transfer_wide`
-//! state size), `VAL_THREADS` (4), `VAL_REPS` (replays per
+//! list; default `0,50,100`), `VAL_THREADS` (4), `VAL_REPS` (replays per
 //! measurement; default 3), `VAL_MIN_SPEEDUP` (if > 0, exit nonzero
 //! unless parallel replay beats sequential by this factor at the largest
 //! conflict-free size — the CI gate), `VAL_MAX_SLOWDOWN` (if > 0, exit
 //! nonzero if the 100 % point is more than this factor slower than
 //! sequential — the graceful-degradation gate).
+//!
+//! After the table it measures one padded row, never gated: the largest
+//! conflict-free size again over a genesis padded with
+//! `IDLE_ACCOUNTS` (10^5) idle accounts, nodebench's `transfer_wide`
+//! state size. The artifact carries it in its config (`idle_*` keys).
 
 use std::time::{Duration, Instant};
 
-use sereth_bench::exec_fixture::{candidates, fixture, miner};
+use sereth_bench::exec_fixture::{candidates, fixture, miner, IDLE_ACCOUNTS};
 use sereth_bench::{env_list_or, env_or, write_bench_artifact, BenchPoint};
 use sereth_chain::builder::{build_block, BlockLimits};
 use sereth_chain::validation::{validate_block, validate_block_with_mode, ValidationMode};
@@ -76,14 +79,10 @@ fn main() {
     let conflicts = env_list_or("VAL_CONFLICTS", &[0, 50, 100]);
     let threads = env_or("VAL_THREADS", 4usize);
     let reps = env_or("VAL_REPS", 3usize);
-    let idle = env_or("VAL_IDLE", 0u64);
     let min_speedup = env_or("VAL_MIN_SPEEDUP", 0.0f64);
     let max_slowdown = env_or("VAL_MAX_SLOWDOWN", 0.0f64);
 
-    println!(
-        "Block validation replay: sequential vs parallel ({threads} threads), {reps} replays per point, \
-         {idle} idle accounts"
-    );
+    println!("Block validation replay: sequential vs parallel ({threads} threads), {reps} replays per point");
     println!("| txs | conflict | sequential/replay | parallel/replay | speedup |");
     println!("|-----|----------|-------------------|-----------------|---------|");
 
@@ -94,7 +93,7 @@ fn main() {
     let mut worst_conflicted_speedup = f64::INFINITY;
     for &size in &sizes {
         for &conflict_pct in &conflicts {
-            let m = measure(size, conflict_pct, idle, threads, reps);
+            let m = measure(size, conflict_pct, 0, threads, reps);
             println!(
                 "| {size:>3} | {conflict_pct:>7}% | {:>14.1} µs | {:>12.1} µs | {:>6.2}x |",
                 m.sequential.as_nanos() as f64 / 1e3,
@@ -113,18 +112,26 @@ fn main() {
     }
     let gate_speedup_clean = clean_gate.map_or(f64::INFINITY, |(_, speedup)| speedup);
 
-    match write_bench_artifact(
-        "val",
-        "val_scale",
-        &[
-            ("threads", threads.to_string()),
-            ("reps", reps.to_string()),
-            ("idle_accounts", idle.to_string()),
-            ("conflict_pct", "0".to_string()),
-            ("host_cpus", std::thread::available_parallelism().map_or(0, |n| n.get()).to_string()),
-        ],
-        &clean_points,
-    ) {
+    // The padded row: the largest conflict-free block again, over a genesis
+    // padded with idle accounts. Printed and written to the artifact's
+    // config, never gated.
+    let padded_size = sizes.iter().copied().max().unwrap_or(0);
+    let m = measure(padded_size, 0, IDLE_ACCOUNTS, threads, reps);
+    let padded = BenchPoint::from_durations(padded_size, m.sequential, m.parallel);
+    println!(
+        "\npadded, not gated: {padded_size} txs, 0% conflict, {IDLE_ACCOUNTS} idle accounts: \
+         sequential {:.1} µs, parallel {:.1} µs, {:.2}x",
+        padded.base_us, padded.fast_us, padded.speedup,
+    );
+
+    let mut config = vec![
+        ("threads", threads.to_string()),
+        ("reps", reps.to_string()),
+        ("conflict_pct", "0".to_string()),
+        ("host_cpus", std::thread::available_parallelism().map_or(0, |n| n.get()).to_string()),
+    ];
+    config.extend(padded.padded_config());
+    match write_bench_artifact("val", "val_scale", &config, &clean_points) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(error) => eprintln!("\nfailed to write BENCH_val.json: {error}"),
     }

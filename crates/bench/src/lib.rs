@@ -147,10 +147,10 @@ impl sereth_core::provider::HmsDataSource for PoolSource {
 }
 
 /// Shared fixture for the EXEC-PAR / VAL-PAR scale benches: a funded
-/// genesis with per-sender counter contracts, optionally padded with idle
-/// accounts, and candidate lists whose conflict ratio is a knob. Both
-/// benches must measure the *same* workload shape (one builds, one
-/// replays), so the shape exists once.
+/// genesis with per-sender counter contracts, optionally padded with
+/// [`exec_fixture::IDLE_ACCOUNTS`] idle accounts, and candidate lists
+/// whose conflict ratio is a knob. Both benches must measure the *same*
+/// workload shape (one builds, one replays), so the shape exists once.
 pub mod exec_fixture {
     use bytes::Bytes;
     use sereth_chain::genesis::GenesisBuilder;
@@ -184,6 +184,11 @@ pub mod exec_fixture {
     /// First address of the idle padding accounts, clear of every
     /// contract base.
     const IDLE_BASE: u64 = 1 << 40;
+
+    /// Idle accounts in both benches' padded row: nodebench's
+    /// `transfer_wide` state size, so the wave executor is also measured
+    /// over a large account map. The row is reported, never gated.
+    pub const IDLE_ACCOUNTS: u64 = 100_000;
 
     /// The coinbase both benches seal with. It exists at genesis, as a
     /// node's coinbase does after its first block: creating it would
@@ -272,6 +277,19 @@ impl BenchPoint {
         let base_us = base.as_nanos() as f64 / 1e3;
         let fast_us = fast.as_nanos() as f64 / 1e3;
         Self { size, base_us, fast_us, speedup: base.as_nanos() as f64 / fast.as_nanos().max(1) as f64 }
+    }
+
+    /// The EXEC-PAR / VAL-PAR padded row as artifact config entries: it
+    /// stays out of `points`, so neither `bench_trend` nor a speedup gate
+    /// reads it.
+    pub fn padded_config(&self) -> [(&'static str, String); 5] {
+        [
+            ("idle_accounts", exec_fixture::IDLE_ACCOUNTS.to_string()),
+            ("idle_txs", self.size.to_string()),
+            ("idle_base_us", format!("{:.3}", self.base_us)),
+            ("idle_fast_us", format!("{:.3}", self.fast_us)),
+            ("idle_speedup", format!("{:.3}", self.speedup)),
+        ]
     }
 }
 

@@ -465,13 +465,22 @@ impl ChainStore {
     /// persistence, the `import` phase and the block trace. There is no
     /// `validate` phase sample and no `validation.*` count.
     ///
+    /// The adopted receipts and post-state must still match the header's
+    /// receipts and state roots, so a `BuiltBlock` whose parts were
+    /// altered or mixed up is refused instead of stored and journaled.
+    /// The post-state's root is cached from the seal, so that check is
+    /// O(1); the receipts root is O(receipts).
+    ///
     /// Debug builds still replay the block, untimed and uncounted, and
     /// assert the same receipts and state root, so every test that mines
     /// checks the two paths agree.
     ///
     /// # Errors
     ///
-    /// See [`ImportError`]; `Invalid` only for a failed header check.
+    /// See [`ImportError`]; `Invalid` only for a failed header check
+    /// ([`check_header`]'s errors) or
+    /// [`ValidationError::ReceiptsRootMismatch`] /
+    /// [`ValidationError::StateRootMismatch`].
     pub fn import_sealed(&mut self, built: BuiltBlock) -> Result<ImportOutcome, ImportError> {
         let BuiltBlock { block, receipts, post_state, .. } = built;
         let hash = block.hash();
@@ -480,6 +489,12 @@ impl ChainStore {
         }
         let parent = self.blocks.get(&block.header.parent_hash).ok_or(ImportError::UnknownParent)?;
         check_header(&parent.block.header, &block.header).map_err(ImportError::Invalid)?;
+        if Block::compute_receipts_root(&receipts) != block.header.receipts_root {
+            return Err(ImportError::Invalid(ValidationError::ReceiptsRootMismatch));
+        }
+        if post_state.state_root() != block.header.state_root {
+            return Err(ImportError::Invalid(ValidationError::StateRootMismatch));
+        }
         #[cfg(debug_assertions)]
         assert_replay_matches(parent, &block, &receipts, &post_state, &self.validation_mode);
         let parent_view = self.backend.is_durable().then(|| parent.post_state.view());
@@ -901,6 +916,42 @@ mod tests {
         b1.header.state_root = H256::keccak(b"lies");
         assert!(matches!(store.import(b1).unwrap_err(), ImportError::Invalid(_)));
         assert_eq!(store.head_number(), 0, "head unchanged after rejection");
+    }
+
+    #[test]
+    fn import_sealed_refuses_parts_that_do_not_match_the_header() {
+        let key = SecretKey::from_label(1);
+        let mut store = open_mem(genesis(&key));
+        let parent = store.head_block().header.clone();
+        let build = |txs: Vec<Transaction>, miner: u64| {
+            build_block(
+                &parent,
+                store.head_state(),
+                txs,
+                Address::from_low_u64(miner),
+                15_000,
+                &BlockLimits::default(),
+            )
+        };
+        let built = build(vec![transfer(&key, 0, 5)], 1);
+        let other = build(vec![transfer(&key, 0, 9)], 2);
+
+        let mut swapped_state = built.clone();
+        swapped_state.post_state = other.post_state.clone();
+        assert_eq!(
+            store.import_sealed(swapped_state).unwrap_err(),
+            ImportError::Invalid(ValidationError::StateRootMismatch)
+        );
+        let mut swapped_receipts = built.clone();
+        swapped_receipts.receipts = other.receipts;
+        assert_eq!(
+            store.import_sealed(swapped_receipts).unwrap_err(),
+            ImportError::Invalid(ValidationError::ReceiptsRootMismatch)
+        );
+        assert_eq!(store.head_number(), 0, "head unchanged after rejection");
+
+        assert_eq!(store.import_sealed(built).unwrap(), ImportOutcome::ExtendedCanonical);
+        assert_eq!(store.head_number(), 1);
     }
 
     #[test]
